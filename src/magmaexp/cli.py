@@ -67,21 +67,7 @@ def _cmd_omega(args: argparse.Namespace) -> int:
 
 def _cmd_order(args: argparse.Namespace) -> int:
     record = order_record(args.p)
-    print(_dumps({"p": str(record.p), "order": str(record.order)}))
-    return 0
-
-
-def _cmd_wieferich(args: argparse.Namespace) -> int:
-    record = order_record(args.p)
-    print(
-        _dumps(
-            {
-                "p": str(record.p),
-                "order": str(record.order),
-                "wieferich_exponent": str(record.wieferich_exponent),
-            }
-        )
-    )
+    print(_dumps({field: str(getattr(record, field)) for field in args.fields}))
     return 0
 
 
@@ -164,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_order = mersenne_sub.add_parser("order", help="order of 2 modulo an odd prime")
     p_order.add_argument("p", type=_positive)
-    p_order.set_defaults(handler=_cmd_order)
+    p_order.set_defaults(handler=_cmd_order, fields=("p", "order"))
 
     p_wief = mersenne_sub.add_parser("wieferich", help="order and Wieferich exponent")
     p_wief.add_argument("p", type=_positive)
-    p_wief.set_defaults(handler=_cmd_wieferich)
+    p_wief.set_defaults(handler=_cmd_order, fields=("p", "order", "wieferich_exponent"))
 
     p_factor = mersenne_sub.add_parser("factor", help="factor 2**n - 1 completely")
     p_factor.add_argument("n", type=_positive)
@@ -203,6 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values outgrow CPython's int-to-str digit limit (omega(175) has
+    # 4,317 digits); it is lifted only after argv is parsed, so command-line
+    # integers still parse under it.  Python 3.10.0-3.10.6 have no limit.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except BoundExceededError as exc:
@@ -214,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

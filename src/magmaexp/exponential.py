@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .errors import InvariantError
 from .mersenne import mersenne_binomial, mersenne_factorial
@@ -43,13 +42,13 @@ def a_coefficient(t: MagmaTree) -> Fraction:
     return a_coefficient(t.left) * a_coefficient(t.right) / ((1 << t.degree) - 2)
 
 
-def exp_series(truncation: int, max_trees: int | None = None) -> TreeSeries:
+def exp_series(truncation: int) -> TreeSeries:
     """The exponential series with all tree coefficients up to the truncation."""
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     coeffs: dict[MagmaTree, Fraction] = {UNIT: Fraction(1)}
     for n in range(1, truncation + 1):
-        for t in enumerate_trees(n, max_trees):
+        for t in enumerate_trees(n):
             coeffs[t] = a_coefficient(t)
     return TreeSeries._raw(truncation, coeffs)
 
@@ -90,32 +89,6 @@ def a_hat_recursion_check(t: MagmaTree) -> bool:
     t1, t2 = decompose(t)
     step = mersenne_binomial(t.degree - 2, t1.degree - 1) * a_hat(t1) * a_hat(t2)
     return a_hat(t) == step
-
-
-def verify_functional_equation(truncation: int) -> bool:
-    """exp * exp == exp(2x) up to the truncation."""
-    e = exp_series(truncation)
-    return e * e == e.dilate(2)
-
-
-def verify_derivative(truncation: int) -> bool:
-    """The derivative of exp agrees with exp through the truncation.
-
-    Computed one degree higher so differentiation loses nothing below the
-    comparison window.
-    """
-    higher = exp_series(truncation + 1)
-    return higher.derivative().truncate(truncation) == exp_series(truncation)
-
-
-def verify_sums(n: int) -> bool:
-    """Degree-n coefficient sums: sum a(t) = 1/n! and sum a_hat(t) = omega(n)."""
-    if n < 1:
-        raise ValueError(f"coefficient sums start at degree 1, got {n}")
-    trees = enumerate_trees(n)
-    plain = sum(a_coefficient(t) for t in trees)
-    integral = sum(a_hat(t) for t in trees)
-    return plain == Fraction(1, factorial(n)) and integral == omega(n)
 
 
 def trees_with_a_hat_one(n: int) -> list[MagmaTree]:

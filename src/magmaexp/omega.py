@@ -63,7 +63,7 @@ def omega_factorization(n: int, bound: int | None = None) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"omega is defined for n >= 1, got {n}")
     factors: dict[int, int] = {}
-    e2 = digit_sum(n, 2) - 1
+    e2 = omega_valuation(n, 2)
     if e2:
         factors[2] = e2
     support = [] if n == 1 else pi_m(n, bound=bound)[1]

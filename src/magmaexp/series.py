@@ -68,11 +68,7 @@ class TreeSeries:
                 raise ValueError(
                     f"term of degree {t.degree} exceeds truncation {truncation}"
                 )
-            c = Fraction(c)
-            if c:
-                coeffs[t] = coeffs.get(t, _ZERO) + c
-                if not coeffs[t]:
-                    del coeffs[t]
+            _accumulate(coeffs, t, Fraction(c))
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "_coeffs", coeffs)
 
@@ -125,11 +121,7 @@ class TreeSeries:
         self._require_same_truncation(other)
         acc = dict(self._coeffs)
         for t, c in other._coeffs.items():
-            s = acc.get(t, _ZERO) + c
-            if s:
-                acc[t] = s
-            else:
-                acc.pop(t, None)
+            _accumulate(acc, t, c)
         return TreeSeries._raw(self.truncation, acc)
 
     def __neg__(self) -> "TreeSeries":
@@ -159,12 +151,7 @@ class TreeSeries:
             for t2, c2 in other._coeffs.items():
                 if t1.degree + t2.degree > self.truncation:
                     continue
-                t = graft(t1, t2)
-                s = acc.get(t, _ZERO) + c1 * c2
-                if s:
-                    acc[t] = s
-                else:
-                    acc.pop(t, None)
+                _accumulate(acc, graft(t1, t2), c1 * c2)
         return TreeSeries._raw(self.truncation, acc)
 
     def __rmul__(self, other: Scalar) -> "TreeSeries":
@@ -177,11 +164,7 @@ class TreeSeries:
         acc: dict[MagmaTree, Fraction] = {}
         for t, c in self._coeffs.items():
             for s, multiplicity in _monomial_derivative(t):
-                v = acc.get(s, _ZERO) + c * multiplicity
-                if v:
-                    acc[s] = v
-                else:
-                    acc.pop(s, None)
+                _accumulate(acc, s, c * multiplicity)
         return TreeSeries._raw(self.truncation, acc)
 
     def substitute(self, g: "TreeSeries") -> "TreeSeries":
@@ -210,11 +193,7 @@ class TreeSeries:
         acc: dict[MagmaTree, Fraction] = {}
         for t, c in self._coeffs.items():
             for s, v in image(t)._coeffs.items():
-                w = acc.get(s, _ZERO) + c * v
-                if w:
-                    acc[s] = w
-                else:
-                    acc.pop(s, None)
+                _accumulate(acc, s, c * v)
         return TreeSeries._raw(self.truncation, acc)
 
     def dilate(self, c: Scalar) -> "TreeSeries":
@@ -260,7 +239,7 @@ class TreeSeries:
         if len(head) != 2 or head[0] != "truncation":
             raise ValueError(f"bad header line {lines[0]!r}")
         truncation = int(head[1])
-        terms = []
+        terms: dict[MagmaTree, Fraction] = {}
         for line in lines[1:]:
             fields = line.split("\t")
             if len(fields) != 2:
@@ -268,7 +247,13 @@ class TreeSeries:
             num, _, den = fields[1].partition("/")
             if not den:
                 raise ValueError(f"coefficient {fields[1]!r} is not numerator/denominator")
-            terms.append((parse(fields[0]), Fraction(int(num), int(den))))
+            t = parse(fields[0])
+            if t in terms:
+                raise ValueError(f"repeated tree in term line {line!r}")
+            try:
+                terms[t] = Fraction(int(num), int(den))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in term line {line!r}") from None
         return cls(truncation, terms)
 
     def __repr__(self) -> str:
@@ -277,6 +262,15 @@ class TreeSeries:
             shown.append("...")
         body = " + ".join(shown) if shown else "0"
         return f"TreeSeries(N={self.truncation}, {body})"
+
+
+def _accumulate(acc: dict[MagmaTree, Fraction], t: MagmaTree, c: Fraction) -> None:
+    """Add c to the coefficient of t in acc, dropping it when the sum is zero."""
+    s = acc.get(t, _ZERO) + c
+    if s:
+        acc[t] = s
+    else:
+        acc.pop(t, None)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 import magmaexp.cli as cli
+from magmaexp import omega
 from magmaexp.cli import main
 from magmaexp.verify import CheckResult
 
@@ -35,6 +37,18 @@ def test_omega_table_with_factorizations(capsys):
         product *= int(p) ** e
     assert product == int(last["omega"])
     assert rows[5]["factorization"] == {"2": 1, "7": 1, "31": 1}
+
+
+def test_omega_table_beyond_int_digit_limit(capsys):
+    # omega(175) on has more digits than CPython's default int-to-str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "omega", "--max", "200")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in rows] == list(range(1, 201))
+    # Decimal renders the exact value without going through int.__str__
+    assert rows[-1]["omega"] == str(Decimal(omega(200)))
 
 
 def test_omega_table_tsv(capsys):

@@ -186,3 +186,7 @@ def test_serialization_rejects_garbage():
         TreeSeries.from_text("truncated\t3\n")
     with pytest.raises(ValueError):
         TreeSeries.from_text("truncation\t3\nx\t0.5\n")
+    with pytest.raises(ValueError, match=r"'x\\t1/0'"):
+        TreeSeries.from_text("truncation\t3\nx\t1/0\n")
+    with pytest.raises(ValueError, match=r"'x\\t2/1'"):
+        TreeSeries.from_text("truncation\t3\nx\t1/1\nx\t2/1\n")

@@ -1,0 +1,71 @@
+import importlib
+from fractions import Fraction
+
+import magmaexp.verify as verify
+from magmaexp import (
+    CheckResult,
+    TreeSeries,
+    exp_series,
+    omega,
+    parse,
+    run_verification,
+    verify_derivative,
+    verify_functional_equation,
+    verify_sums,
+)
+
+# the package re-exports the function omega under the submodule's name
+omega_module = importlib.import_module("magmaexp.omega")
+
+
+def test_degree_zero_is_vacuous():
+    assert run_verification(0) == [
+        CheckResult("functional-equation", True, ""),
+        CheckResult("derivative", True, "vacuous below degree 1"),
+        CheckResult("coefficient-sums", True, ""),
+        CheckResult("binomial-product", True, ""),
+        CheckResult("binomial-recursion", True, ""),
+        CheckResult("omega-recursion", True, ""),
+        CheckResult("factorizations", True, ""),
+    ]
+
+
+def test_failing_checks_name_their_counterexamples(monkeypatch):
+    # perturb one coefficient of the series every check reads, and put
+    # omega off by one for the checks that read omega
+    t, delta = parse("(x*(x*x))"), Fraction(1, 5)
+
+    def perturbed_exp_series(n):
+        e = exp_series(n)
+        return e + TreeSeries(n, {t: delta}) if t.degree <= n else e
+
+    def omega_off_by_one(n):
+        return omega(n) + 1
+
+    monkeypatch.setattr(verify, "exp_series", perturbed_exp_series)
+    monkeypatch.setattr(verify, "omega", omega_off_by_one)
+    monkeypatch.setattr(omega_module, "omega", omega_off_by_one)
+    products = []
+    multiply = TreeSeries.__mul__
+
+    def counting_mul(a, b):
+        products.append(b)
+        return multiply(a, b)
+
+    monkeypatch.setattr(TreeSeries, "__mul__", counting_mul)
+
+    results = run_verification(4)
+    assert len(products) == 1  # the failing functional equation multiplies once
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("functional-equation", False, "coefficient of (x*(x*x)) off by -6/5"),
+        ("derivative", False, "coefficient of (x*x) off by 3/5"),
+        ("coefficient-sums", False, "sum of a_hat at degree 1 is 1"),
+        ("binomial-product", True, ""),
+        ("binomial-recursion", True, ""),
+        ("omega-recursion", False, "convolution misses omega(2)"),
+        ("factorizations", False, "omega(1): omega(1) factorization does not reassemble"),
+    ]
+    passed = {r.name: r.passed for r in results}
+    assert verify_functional_equation(4) == passed["functional-equation"]
+    assert verify_derivative(3) == passed["derivative"]
+    assert all(verify_sums(n) for n in range(1, 5)) == passed["coefficient-sums"]
