@@ -7,6 +7,15 @@ included.  Multiplication enumerates every factorization of the target tree,
 unit factors and all, and is therefore not associative in general, exactly
 like the underlying magma product.
 
+The product groups each operand's trees by degree once and visits only the
+degree pairs whose sum stays within the truncation, so no pair is built and
+then thrown away.  Products, derivatives and substitutions sum their
+contributions exactly in integers: one [numerator, denominator] pair per
+target tree, brought to a common denominator with math.lcm, and turned into
+a normalized Fraction once at the end; sums that cancel to zero are dropped.
+Tree recursions (derivatives of monomials, images under substitution) run
+over an explicit stack, so deep trees never reach the recursion limit.
+
 The text format puts the truncation in a header line and one
 "tree<TAB>numerator/denominator" row per term, sorted by degree and then
 canonical order, so serialized output is byte deterministic.
@@ -17,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .trees import UNIT, X, MagmaTree, canonical_sort_key, graft, parse, render
 
@@ -68,7 +76,11 @@ class TreeSeries:
                 raise ValueError(
                     f"term of degree {t.degree} exceeds truncation {truncation}"
                 )
-            _accumulate(coeffs, t, Fraction(c))
+            c = Fraction(c)
+            if t in coeffs:
+                c += coeffs.pop(t)
+            if c:
+                coeffs[t] = c
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "_coeffs", coeffs)
 
@@ -121,7 +133,10 @@ class TreeSeries:
         self._require_same_truncation(other)
         acc = dict(self._coeffs)
         for t, c in other._coeffs.items():
-            _accumulate(acc, t, c)
+            if t in acc:
+                c += acc.pop(t)
+            if c:
+                acc[t] = c
         return TreeSeries._raw(self.truncation, acc)
 
     def __neg__(self) -> "TreeSeries":
@@ -146,13 +161,20 @@ class TreeSeries:
         if not isinstance(other, TreeSeries):
             return NotImplemented
         self._require_same_truncation(other)
-        acc: dict[MagmaTree, Fraction] = {}
-        for t1, c1 in self._coeffs.items():
-            for t2, c2 in other._coeffs.items():
-                if t1.degree + t2.degree > self.truncation:
+        n = self.truncation
+        a, b = self._coeffs, other._coeffs
+        right = _by_degree(b)
+        acc: _Sums = {}
+        for d1, trees1 in _by_degree(a).items():
+            for d2, trees2 in right.items():
+                if d1 + d2 > n:
                     continue
-                _accumulate(acc, graft(t1, t2), c1 * c2)
-        return TreeSeries._raw(self.truncation, acc)
+                for t1 in trees1:
+                    p1, q1 = a[t1].numerator, a[t1].denominator
+                    for t2 in trees2:
+                        c2 = b[t2]
+                        _add(acc, graft(t1, t2), p1 * c2.numerator, q1 * c2.denominator)
+        return TreeSeries._raw(n, _fractions(acc))
 
     def __rmul__(self, other: Scalar) -> "TreeSeries":
         if isinstance(other, (int, Fraction)):
@@ -161,11 +183,12 @@ class TreeSeries:
 
     def derivative(self) -> "TreeSeries":
         """Leibniz derivative: d(1) = 0, d(x) = 1, d(t1*t2) = d(t1)*t2 + t1*d(t2)."""
-        acc: dict[MagmaTree, Fraction] = {}
+        acc: _Sums = {}
         for t, c in self._coeffs.items():
+            p, q = c.numerator, c.denominator
             for s, multiplicity in _monomial_derivative(t):
-                _accumulate(acc, s, c * multiplicity)
-        return TreeSeries._raw(self.truncation, acc)
+                _add(acc, s, p * multiplicity, q)
+        return TreeSeries._raw(self.truncation, _fractions(acc))
 
     def substitute(self, g: "TreeSeries") -> "TreeSeries":
         """The algebra homomorphism sending x to g, applied to this series.
@@ -183,25 +206,23 @@ class TreeSeries:
             X: g,
         }
 
-        def image(t: MagmaTree) -> TreeSeries:
-            cached = images.get(t)
-            if cached is None:
-                cached = image(t.left) * image(t.right)
-                images[t] = cached
-            return cached
+        def product(t: MagmaTree) -> TreeSeries:
+            return images[t.left] * images[t.right]
 
-        acc: dict[MagmaTree, Fraction] = {}
+        acc: _Sums = {}
         for t, c in self._coeffs.items():
-            for s, v in image(t)._coeffs.items():
-                _accumulate(acc, s, c * v)
-        return TreeSeries._raw(self.truncation, acc)
+            p, q = c.numerator, c.denominator
+            for s, v in _bottom_up(t, images, product)._coeffs.items():
+                _add(acc, s, p * v.numerator, q * v.denominator)
+        return TreeSeries._raw(self.truncation, _fractions(acc))
 
     def dilate(self, c: Scalar) -> "TreeSeries":
         """Substitution of c*x for x: degree-n coefficients pick up c**n."""
         c = Fraction(c)
+        powers = {d: c**d for d in {t.degree for t in self._coeffs}}
         acc: dict[MagmaTree, Fraction] = {}
         for t, v in self._coeffs.items():
-            w = v * c**t.degree
+            w = v * powers[t.degree]
             if w:
                 acc[t] = w
         return TreeSeries._raw(self.truncation, acc)
@@ -264,30 +285,73 @@ class TreeSeries:
         return f"TreeSeries(N={self.truncation}, {body})"
 
 
-def _accumulate(acc: dict[MagmaTree, Fraction], t: MagmaTree, c: Fraction) -> None:
-    """Add c to the coefficient of t in acc, dropping it when the sum is zero."""
-    s = acc.get(t, _ZERO) + c
-    if s:
-        acc[t] = s
+# exact sum per tree as [numerator, denominator]; denominators stay positive
+_Sums = dict[MagmaTree, list[int]]
+
+
+def _add(acc: _Sums, t: MagmaTree, p: int, q: int) -> None:
+    """Add p/q to the exact sum of t in acc."""
+    entry = acc.get(t)
+    if entry is None:
+        acc[t] = [p, q]
+    elif entry[1] == q:
+        entry[0] += p
     else:
-        acc.pop(t, None)
+        common = math.lcm(entry[1], q)
+        entry[0] = entry[0] * (common // entry[1]) + p * (common // q)
+        entry[1] = common
 
 
-@lru_cache(maxsize=None)
-def _monomial_derivative(t: MagmaTree) -> tuple[tuple[MagmaTree, int], ...]:
-    """d(t) as (tree, multiplicity) pairs; one term per leaf of t."""
-    if t.degree == 0:
-        return ()
-    if t.left is None:
-        return ((UNIT, 1),)
+def _fractions(acc: _Sums) -> dict[MagmaTree, Fraction]:
+    """Each sum as a normalized Fraction; sums that cancel to zero are dropped."""
+    return {t: Fraction(p, q) for t, (p, q) in acc.items() if p}
+
+
+def _by_degree(coeffs: Mapping[MagmaTree, Fraction]) -> dict[int, list[MagmaTree]]:
+    buckets: dict[int, list[MagmaTree]] = {}
+    for t in coeffs:
+        buckets.setdefault(t.degree, []).append(t)
+    return buckets
+
+
+def _bottom_up(t: MagmaTree, cache: dict, combine: Callable[[MagmaTree], object]):
+    """cache[t], first filling cache[s] = combine(s) for every missing subtree s.
+
+    Post-order over an explicit stack: combine(s) runs only once both factors
+    of s are cached.  The atoms must be cached beforehand.
+    """
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        if s in cache:
+            stack.pop()
+        elif s.left in cache and s.right in cache:
+            cache[stack.pop()] = combine(s)
+        else:
+            stack += (s.right, s.left)
+    return cache[t]
+
+
+_derivatives: dict[MagmaTree, tuple[tuple[MagmaTree, int], ...]] = {
+    UNIT: (),
+    X: ((UNIT, 1),),
+}
+
+
+def _leibniz(t: MagmaTree) -> tuple[tuple[MagmaTree, int], ...]:
     acc: dict[MagmaTree, int] = {}
-    for s, m in _monomial_derivative(t.left):
+    for s, m in _derivatives[t.left]:
         key = graft(s, t.right)
         acc[key] = acc.get(key, 0) + m
-    for s, m in _monomial_derivative(t.right):
+    for s, m in _derivatives[t.right]:
         key = graft(t.left, s)
         acc[key] = acc.get(key, 0) + m
     return tuple(acc.items())
+
+
+def _monomial_derivative(t: MagmaTree) -> tuple[tuple[MagmaTree, int], ...]:
+    """d(t) as (tree, multiplicity) pairs; one term per leaf of t."""
+    return _bottom_up(t, _derivatives, _leibniz)
 
 
 def zero(truncation: int) -> TreeSeries:

@@ -55,15 +55,21 @@ class MagmaTree:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, MagmaTree):
             return NotImplemented
-        if self.degree != other.degree or self._hash != other._hash:
-            return False
-        if self.left is None or other.left is None:
-            return self is other  # atoms are singletons
-        return self.left == other.left and self.right == other.right
+        # explicit stack, so deep trees never reach the recursion limit
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.degree != b.degree or a._hash != b._hash:
+                return False
+            if a.left is None or b.left is None:
+                return False  # atoms are singletons
+            stack.append((a.right, b.right))
+            stack.append((a.left, b.left))
+        return True
 
     def __repr__(self) -> str:
         return f"MagmaTree({render(self)!r})"

@@ -122,6 +122,15 @@ def test_substitute_rejects_order_zero():
     assert generator(3).substitute(zero(3)).is_zero()
 
 
+def test_deep_comb_derivative_and_substitution():
+    t = X
+    for _ in range(1500):
+        t = graft(t, X)
+    s = TreeSeries(1501, {t: 1})
+    assert s.derivative().classical_projection().coefficient(1500) == 1501
+    assert s.substitute(generator(1501)) == s
+
+
 def test_dilate():
     x = generator(3)
     f = one(3) + x + (x * x).scale(Fraction(1, 2))

@@ -73,6 +73,20 @@ def test_structural_equality_and_hash():
     assert len({a, b, c}) == 2
 
 
+def left_comb(n):
+    t = X
+    for _ in range(n - 1):
+        t = graft(t, X)
+    return t
+
+
+def test_equality_of_deep_trees():
+    # separately built 1,501-leaf combs share no nodes below the atoms
+    assert left_comb(1501) == left_comb(1501)
+    assert left_comb(1501) != graft(X, left_comb(1500))
+    assert left_comb(1501) != left_comb(1500)
+
+
 def test_enumeration_counts_match_catalan_recurrence():
     oracle = catalan_recurrence_oracle(14)
     for n in range(1, 15):
