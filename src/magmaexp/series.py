@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
-from .trees import UNIT, X, MagmaTree, canonical_sort_key, graft, parse, render
+from .trees import UNIT, X, MagmaTree, _bottom_up, canonical_sort_key, graft, parse, render
 
 Scalar = Union[int, Fraction]
 
@@ -312,24 +312,6 @@ def _by_degree(coeffs: Mapping[MagmaTree, Fraction]) -> dict[int, list[MagmaTree
     for t in coeffs:
         buckets.setdefault(t.degree, []).append(t)
     return buckets
-
-
-def _bottom_up(t: MagmaTree, cache: dict, combine: Callable[[MagmaTree], object]):
-    """cache[t], first filling cache[s] = combine(s) for every missing subtree s.
-
-    Post-order over an explicit stack: combine(s) runs only once both factors
-    of s are cached.  The atoms must be cached beforehand.
-    """
-    stack = [t]
-    while stack:
-        s = stack[-1]
-        if s in cache:
-            stack.pop()
-        elif s.left in cache and s.right in cache:
-            cache[stack.pop()] = combine(s)
-        else:
-            stack += (s.right, s.left)
-    return cache[t]
 
 
 _derivatives: dict[MagmaTree, tuple[tuple[MagmaTree, int], ...]] = {

@@ -5,6 +5,12 @@ trees.  Grafting absorbs the unit on either side, so products never store a
 unit child and every tree of degree >= 2 decomposes uniquely into its two
 subtrees.  The degree (leaf count) is additive under grafting.
 
+Equal trees are one object: every node is built once, through one table
+keyed by its two children, so equality and hashing are identity.  The table
+is never cleared, since a node built afresh would not equal an older tree of
+the same shape.  parse, render, canonical_rank and _bottom_up walk trees over
+an explicit stack, so deep trees never reach the recursion limit.
+
 Canonical order inside one degree: ascending by the degree of the left
 factor, then by the left factor's own canonical position, then the right
 factor's.  enumerate_trees lists trees in exactly that order (Catalan many
@@ -18,8 +24,8 @@ any grammar-conforming string and normalizes units away per the unit law.
 
 from __future__ import annotations
 
-import threading
 from math import comb
+from typing import Callable
 
 from .errors import BoundExceededError
 
@@ -34,58 +40,55 @@ def catalan(n: int) -> int:
 
 
 class MagmaTree:
-    """Immutable tree value with structural equality and a cached hash.
+    """Immutable tree value; equal trees are one object.
 
-    Do not call the constructor with unit children; build trees with graft,
-    parse, or enumerate_trees.  UNIT and X are the only atoms and are module
-    singletons, so identity comparison is valid for them.
+    MagmaTree(left, right) returns the one node with those children, building
+    it on first use and keeping it in a table that is never cleared, so == and
+    hash are identity.  Do not pass unit children; build trees with graft,
+    parse, or enumerate_trees.  UNIT and X are the only atoms.
     """
 
-    __slots__ = ("left", "right", "degree", "_hash")
+    __slots__ = ("left", "right", "degree")
 
-    def __init__(self, left: "MagmaTree", right: "MagmaTree"):
-        if left.degree == 0 or right.degree == 0:
-            raise ValueError("unit children are collapsed by graft(), not stored")
-        self.left = left
-        self.right = right
-        self.degree = left.degree + right.degree
-        self._hash = hash((left._hash, right._hash))
+    def __new__(cls, left: "MagmaTree", right: "MagmaTree") -> "MagmaTree":
+        key = (left, right)
+        t = _nodes.get(key)
+        if t is None:
+            if left.degree == 0 or right.degree == 0:
+                raise ValueError("unit children are collapsed by graft(), not stored")
+            t = object.__new__(cls)
+            t.left = left
+            t.right = right
+            t.degree = left.degree + right.degree
+            # the one point of synchronisation: racing builders keep the first
+            t = _nodes.setdefault(key, t)
+        return t
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MagmaTree):
-            return NotImplemented
-        # explicit stack, so deep trees never reach the recursion limit
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.degree != b.degree or a._hash != b._hash:
-                return False
-            if a.left is None or b.left is None:
-                return False  # atoms are singletons
-            stack.append((a.right, b.right))
-            stack.append((a.left, b.left))
-        return True
+    def __reduce__(self):
+        # pickle and copy hand back the same object
+        if self.left is None:
+            return "UNIT" if self.degree == 0 else "X"
+        return MagmaTree, (self.left, self.right)
 
     def __repr__(self) -> str:
         return f"MagmaTree({render(self)!r})"
 
 
-def _atom(degree: int, tag: str) -> MagmaTree:
-    t = MagmaTree.__new__(MagmaTree)
+# every node ever built, by its children; never cleared, because a node
+# built after clearing would not be equal to an older tree of the same shape
+_nodes: dict[tuple[MagmaTree, MagmaTree], MagmaTree] = {}
+
+
+def _atom(degree: int) -> MagmaTree:
+    t = object.__new__(MagmaTree)
     t.left = None
     t.right = None
     t.degree = degree
-    t._hash = hash(("magma-atom", tag))
     return t
 
 
-UNIT = _atom(0, "1")
-X = _atom(1, "x")
+UNIT = _atom(0)
+X = _atom(1)
 
 
 def graft(t1: MagmaTree, t2: MagmaTree) -> MagmaTree:
@@ -104,7 +107,6 @@ def decompose(t: MagmaTree) -> tuple[MagmaTree, MagmaTree]:
     return t.left, t.right
 
 
-_trees_lock = threading.Lock()
 _trees_by_degree: dict[int, tuple[MagmaTree, ...]] = {1: (X,)}
 
 
@@ -122,30 +124,36 @@ def enumerate_trees(n: int, max_trees: int | None = None) -> list[MagmaTree]:
         raise BoundExceededError(
             f"degree {n} has {count} trees, over the budget of {budget}"
         )
-    if n not in _trees_by_degree:
-        with _trees_lock:
-            for d in range(2, n + 1):
-                if d in _trees_by_degree:
-                    continue
-                _trees_by_degree[d] = tuple(
-                    MagmaTree(l, r)
-                    for k in range(1, d)
-                    for l in _trees_by_degree[k]
-                    for r in _trees_by_degree[d - k]
-                )
+    # no lock: threads that build a degree at once build the same nodes
+    for d in range(2, n + 1):
+        if d not in _trees_by_degree:
+            _trees_by_degree[d] = tuple(
+                MagmaTree(l, r)
+                for k in range(1, d)
+                for l in _trees_by_degree[k]
+                for r in _trees_by_degree[d - k]
+            )
     return list(_trees_by_degree[n])
 
 
 def canonical_rank(t: MagmaTree) -> int:
     """Position of t within enumerate_trees(t.degree), without enumerating."""
-    if t.degree == 0:
-        return 0
-    if t.left is None:
-        return 0
-    n = t.degree
-    k = t.left.degree
-    rank = sum(catalan(j - 1) * catalan(n - j - 1) for j in range(1, k))
-    return rank + canonical_rank(t.left) * catalan(n - k - 1) + canonical_rank(t.right)
+    cat = [1]  # catalan(0), ..., catalan(t.degree - 1)
+    for i in range(1, t.degree):
+        cat.append(cat[-1] * (4 * i - 2) // (i + 1))
+
+    def rank(s: MagmaTree) -> int:
+        n, k = s.degree, s.left.degree
+        # trees whose left factor has degree < k come first; the shorter of
+        # the two sums that make up catalan(n - 1) counts them
+        if 2 * k <= n:
+            start = sum(cat[j - 1] * cat[n - j - 1] for j in range(1, k))
+        else:
+            start = cat[n - 1] - sum(cat[j - 1] * cat[n - j - 1] for j in range(k, n))
+        return start + ranks[s.left] * cat[n - k - 1] + ranks[s.right]
+
+    ranks = {UNIT: 0, X: 0}
+    return _bottom_up(t, ranks, rank)
 
 
 def canonical_sort_key(t: MagmaTree) -> tuple[int, int]:
@@ -188,6 +196,24 @@ def inner_nodes(t: MagmaTree) -> list[tuple[MagmaTree, int]]:
     return out
 
 
+def _bottom_up(t: MagmaTree, cache: dict, combine: Callable[[MagmaTree], object]):
+    """cache[t], first filling cache[s] = combine(s) for every missing subtree s.
+
+    Post-order over an explicit stack: combine(s) runs only once both factors
+    of s are cached.  The atoms must be cached beforehand.
+    """
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        if s in cache:
+            stack.pop()
+        elif s.left in cache and s.right in cache:
+            cache[stack.pop()] = combine(s)
+        else:
+            stack += (s.right, s.left)
+    return cache[t]
+
+
 class ParseError(ValueError):
     """Syntax error in the tree wire format, with a character offset."""
 
@@ -198,16 +224,52 @@ class ParseError(ValueError):
 
 def render(t: MagmaTree) -> str:
     """Fully parenthesized canonical string for t."""
-    if t.left is None:
-        return "1" if t.degree == 0 else "x"
-    return f"({render(t.left)}*{render(t.right)})"
+    parts = []
+    # right factors still to render, each above a None that stands for its ")"
+    pending: list[MagmaTree | None] = []
+    s = t
+    while True:
+        while s.left is not None:
+            parts.append("(")
+            pending += (None, s.right)
+            s = s.left
+        parts.append("1" if s.degree == 0 else "x")
+        while True:
+            if not pending:
+                return "".join(parts)
+            s = pending.pop()
+            if s is not None:
+                break
+            parts.append(")")
+        parts.append("*")
+
+
+_ATOMS = {"1": UNIT, "x": X}
 
 
 def parse(text: str) -> MagmaTree:
     """Parse the wire format; inverse of render up to unit normalization."""
+    # open products, innermost last: None until its left factor is read
+    open_products: list[MagmaTree | None] = []
     pos = _skip_ws(text, 0)
-    t, pos = _parse_tree(text, pos)
-    pos = _skip_ws(text, pos)
+    while True:
+        c = text[pos : pos + 1]
+        if c == "(":
+            open_products.append(None)
+            pos = _skip_ws(text, pos + 1)
+            continue
+        t = _ATOMS.get(c)
+        if t is None:
+            found = repr(c) if c else "end of input"
+            raise ParseError(f"expected '1', 'x' or '(', found {found}", pos)
+        pos = _skip_ws(text, pos + 1)
+        while open_products and open_products[-1] is not None:
+            pos = _skip_ws(text, _expect(text, pos, ")"))
+            t = graft(open_products.pop(), t)
+        if not open_products:
+            break
+        open_products[-1] = t
+        pos = _skip_ws(text, _expect(text, pos, "*"))
     if pos != len(text):
         raise ParseError(f"trailing input {text[pos]!r}", pos)
     return t
@@ -217,23 +279,6 @@ def _skip_ws(text: str, pos: int) -> int:
     while pos < len(text) and text[pos].isspace():
         pos += 1
     return pos
-
-
-def _parse_tree(text: str, pos: int) -> tuple[MagmaTree, int]:
-    if pos >= len(text):
-        raise ParseError("expected '1', 'x' or '(', found end of input", pos)
-    c = text[pos]
-    if c == "1":
-        return UNIT, pos + 1
-    if c == "x":
-        return X, pos + 1
-    if c == "(":
-        left, pos = _parse_tree(text, _skip_ws(text, pos + 1))
-        pos = _expect(text, _skip_ws(text, pos), "*")
-        right, pos = _parse_tree(text, _skip_ws(text, pos))
-        pos = _expect(text, _skip_ws(text, pos), ")")
-        return graft(left, right), pos
-    raise ParseError(f"expected '1', 'x' or '(', found {c!r}", pos)
 
 
 def _expect(text: str, pos: int, token: str) -> int:

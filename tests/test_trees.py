@@ -1,5 +1,16 @@
+import copy
+import json
+import os
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import magmaexp
+from conftest import SEED
 from magmaexp import (
     BoundExceededError,
     UNIT,
@@ -55,8 +66,7 @@ def test_direct_node_construction_rejects_unit_children():
 def test_decompose_inverts_graft():
     for n in range(2, 9):
         for t in enumerate_trees(n):
-            left, right = decompose(t)
-            assert graft(left, right) == t
+            assert graft(*decompose(t)) is t
     with pytest.raises(ValueError):
         decompose(X)
     with pytest.raises(ValueError):
@@ -67,6 +77,7 @@ def test_structural_equality_and_hash():
     a = graft(X, graft(X, X))
     b = graft(X, graft(X, X))
     c = graft(graft(X, X), X)
+    assert a is b
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
@@ -81,10 +92,93 @@ def left_comb(n):
 
 
 def test_equality_of_deep_trees():
-    # separately built 1,501-leaf combs share no nodes below the atoms
-    assert left_comb(1501) == left_comb(1501)
-    assert left_comb(1501) != graft(X, left_comb(1500))
-    assert left_comb(1501) != left_comb(1500)
+    # 1,501 leaves are past the recursion limit: every walk must be iterative
+    comb = left_comb(1501)
+    assert left_comb(1501) is comb
+    assert comb != graft(X, left_comb(1500))
+    assert comb != left_comb(1500)
+    text = render(comb)
+    assert len(text) == 4 * 1501 - 3
+    assert parse(text) is comb
+    # the left comb is the last tree of its degree, the right comb the first
+    assert canonical_rank(comb) == catalan(1500) - 1
+    right_comb = X
+    for _ in range(1500):
+        right_comb = graft(X, right_comb)
+    assert parse(render(right_comb)) is right_comb
+    assert canonical_rank(right_comb) == 0
+
+
+def test_copy_and_pickle_return_the_same_object():
+    for t in (UNIT, X, graft(X, graft(X, X)), left_comb(50)):
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(t, protocol)) is t
+
+
+def random_tree_text(rng, n):
+    """Wire format of a random degree-n tree, made without building the tree."""
+    if n == 1:
+        return "x"
+    k = rng.randint(1, n - 1)
+    return f"({random_tree_text(rng, k)}*{random_tree_text(rng, n - k)})"
+
+
+# runs in a fresh interpreter, where no degree-12 tree exists yet; the
+# threads meet at a barrier every ten texts, so they race to build the same
+# new nodes (a node table written without setdefault fails this test)
+_INTERNING_RACE = """
+import json, sys, threading
+from magmaexp import enumerate_trees, parse
+from magmaexp.trees import _nodes
+
+texts = json.load(sys.stdin)
+assert all(t.degree < 12 for t in _nodes.values())
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(8)
+results = [None] * 8
+
+def work(i):
+    parsed = []
+    for k in range(0, len(texts), 10):
+        start.wait()
+        parsed += [parse(s) for s in texts[k:k + 10]]
+    start.wait()
+    results[i] = parsed, enumerate_trees(10)
+
+threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+assert not any(thread.is_alive() for thread in threads)
+json.dump([[[id(t) for t in trees] for trees in result] for result in results], sys.stdout)
+"""
+
+
+def test_threads_intern_one_object_per_tree():
+    rng = random.Random(SEED)
+    texts = [random_tree_text(rng, 12) for _ in range(300)]
+    src = str(Path(magmaexp.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", _INTERNING_RACE],
+        input=json.dumps(texts),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=180,
+    )
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    assert len(results) == 8
+    parsed, enumerated = results[0]
+    assert len(parsed) == len(texts) and len(enumerated) == catalan(9)
+    for other_parsed, other_enumerated in results[1:]:
+        assert other_parsed == parsed
+        assert other_enumerated == enumerated
 
 
 def test_enumeration_counts_match_catalan_recurrence():
@@ -196,4 +290,4 @@ def test_parse_error_positions():
 def test_render_parse_round_trip():
     for n in range(1, 11):
         for t in enumerate_trees(n):
-            assert parse(render(t)) == t
+            assert parse(render(t)) is t
