@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .errors import InvariantError
 from .mersenne import mersenne_binomial, mersenne_factorial
@@ -34,11 +35,25 @@ from .trees import (
 )
 
 
+# trees above this degree take a(t) from one walk over their inner nodes
+_RECURSION_DEGREE = 64
+
+
 @lru_cache(maxsize=None)
 def a_coefficient(t: MagmaTree) -> Fraction:
-    """Exact coefficient of the tree t in the exponential series."""
+    """Exact coefficient of the tree t in the exponential series.
+
+    Unrolled, the recursion is 1 / prod(2**m - 2) over the degrees m of the
+    inner nodes.  Trees above degree 64 take that product over an explicit
+    walk, so deep trees never reach the recursion limit.
+    """
     if t.degree <= 1:
         return Fraction(1)
+    if t.degree > _RECURSION_DEGREE:
+        factors = [(1 << s.degree) - 2 for s, _ in inner_nodes(t)]
+        while len(factors) > 1:  # multiply neighbours pairwise, a balanced product
+            factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+        return Fraction(1, factors[0])
     return a_coefficient(t.left) * a_coefficient(t.right) / ((1 << t.degree) - 2)
 
 
@@ -62,7 +77,7 @@ def a_hat(t: MagmaTree) -> int:
     n = t.degree
     if n < 1:
         raise ValueError("a_hat is defined for trees of degree >= 1")
-    value = a_coefficient(t) * (1 << (n - 1)) * mersenne_factorial(n - 1)
+    value = a_coefficient(t) * ((1 << (n - 1)) * mersenne_factorial(n - 1))
     if value.denominator != 1 or value <= 0:
         raise InvariantError(f"a_hat({render(t)}) = {value} is not a positive integer")
     return value.numerator

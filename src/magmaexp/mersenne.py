@@ -11,7 +11,7 @@ routes can check each other.
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 
 from .errors import InvariantError
 from .primes import is_prime
@@ -24,36 +24,36 @@ def mersenne(n: int) -> int:
     return (1 << n) - 1
 
 
-_factorial_lock = threading.Lock()
-_factorial_cache = [1]
+def _mersenne_product(lo: int, hi: int) -> int:
+    """Product of 2**i - 1 over lo <= i < hi (1 if empty), split in halves."""
+    if hi - lo > 16:
+        mid = (lo + hi) // 2
+        return _mersenne_product(lo, mid) * _mersenne_product(mid, hi)
+    product = 1
+    for i in range(lo, hi):
+        product *= (1 << i) - 1
+    return product
 
 
 def mersenne_factorial(n: int) -> int:
     """Product of the first n Mersenne numbers; 1 for n = 0."""
     if n < 0:
         raise ValueError(f"mersenne_factorial needs n >= 0, got {n}")
-    if n < len(_factorial_cache):
-        return _factorial_cache[n]
-    with _factorial_lock:
-        # re-check under the lock; another thread may have extended the cache
-        while len(_factorial_cache) <= n:
-            k = len(_factorial_cache)
-            _factorial_cache.append(_factorial_cache[-1] * ((1 << k) - 1))
-    return _factorial_cache[n]
+    return _mersenne_product(1, n + 1)
 
 
+@lru_cache(maxsize=256)
 def mersenne_binomial(n: int, r: int) -> int:
-    """Mersenne binomial coefficient, an exact factorial quotient.
+    """Mersenne binomial coefficient, an exact and checked factorial quotient.
 
-    The division is checked: a nonzero remainder would mean the integrality
-    theorem failed, which is a bug, so it raises InvariantError rather than
-    returning a rounded value.
+    A nonzero remainder would mean the integrality theorem failed, which is a
+    bug, so it raises InvariantError rather than returning a rounded value.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
-    quotient, remainder = divmod(
-        mersenne_factorial(n), mersenne_factorial(r) * mersenne_factorial(n - r)
-    )
+    s = min(r, n - r)  # the top s factors of n!_M over s!_M
+    top = _mersenne_product(n - s + 1, n + 1)
+    quotient, remainder = divmod(top, _mersenne_product(1, s + 1))
     if remainder:
         raise InvariantError(f"mersenne_binomial({n}, {r}) is not an integer")
     return quotient

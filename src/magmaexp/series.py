@@ -87,6 +87,11 @@ class TreeSeries:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TreeSeries is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _raw; the default state restore
+        # would go through the __setattr__ above and fail
+        return TreeSeries._raw, (self.truncation, self._coeffs)
+
     @classmethod
     def _raw(cls, truncation: int, coeffs: dict[MagmaTree, Fraction]) -> "TreeSeries":
         # trusted constructor: coeffs already pruned, bounded, and private

@@ -65,10 +65,11 @@ class MagmaTree:
         return t
 
     def __reduce__(self):
-        # pickle and copy hand back the same object
+        # pickle and copy hand back the same object; a node goes by its text,
+        # since reducing it to its children would recurse through deep trees
         if self.left is None:
             return "UNIT" if self.degree == 0 else "X"
-        return MagmaTree, (self.left, self.right)
+        return parse, (render(self),)
 
     def __repr__(self) -> str:
         return f"MagmaTree({render(self)!r})"

@@ -78,6 +78,31 @@ def test_a_hat_triple_agreement():
                 assert a_hat_recursion_check(t)
 
 
+def random_tree(rng, n):
+    if n == 1:
+        return X
+    k = rng.randint(1, n - 1)
+    return graft(random_tree(rng, k), random_tree(rng, n - k))
+
+
+def test_a_coefficient_above_the_recursion_degree():
+    # from degree 65 on, a(t) is one product over the inner nodes
+    rng = random.Random(SEED)
+    for n in (64, 65, 66, 90):
+        for _ in range(5):
+            t = random_tree(rng, n)
+            assert a_coefficient(t) == a_oracle(t)
+            assert a_hat(t) == a_hat_product(t)
+
+
+def test_a_hat_of_a_deep_comb():
+    # 1,501 leaves are past the recursion limit
+    comb = X
+    for _ in range(1500):
+        comb = graft(comb, X)
+    assert a_hat(comb) == a_hat_product(comb) == 1
+
+
 def test_a_hat_product_examples():
     t = parse("((x*x)*(x*x))")
     assert a_hat_product(t) == 3

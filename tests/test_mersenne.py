@@ -59,7 +59,8 @@ def test_mersenne_factorial_against_product_oracle():
     assert mersenne_factorial(0) == 1
     assert mersenne_factorial(3) == 21
     assert mersenne_factorial(5) == 9765
-    for n in range(30):
+    # n = 300 splits the balanced product several times over
+    for n in [*range(81), 300]:
         assert mersenne_factorial(n) == factorial_product_oracle(n)
     with pytest.raises(ValueError):
         mersenne_factorial(-1)
@@ -86,7 +87,7 @@ def test_mersenne_binomial_against_independent_oracles():
 
 
 def test_binomial_symmetry_and_gaussian_agreement():
-    for n in range(41):
+    for n in range(61):
         for r in range(n + 1):
             value = mersenne_binomial(n, r)
             assert value == mersenne_binomial(n, n - r)
@@ -130,3 +131,10 @@ def test_digit_sum_congruence():
     for p in (2, 3, 5, 7, 11, 13):
         for n in range(0, 10_001):
             assert (n - digit_sum(n, p)) % (p - 1) == 0
+
+
+def test_binomial_memo_is_bounded():
+    assert mersenne_binomial.cache_info().maxsize == 256
+    for n in range(300):
+        mersenne_binomial(n, n // 2)
+    assert mersenne_binomial.cache_info().currsize <= 256

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +11,15 @@ from magmaexp import (
     TreeSeries,
     UNIT,
     X,
+    exp_series,
     generator,
     graft,
     one,
     parse,
     zero,
 )
+
+from conftest import SEED, random_series
 
 
 def test_constructor_normalizes():
@@ -86,6 +92,14 @@ def test_immutability():
     f = generator(2)
     with pytest.raises(AttributeError):
         f.truncation = 5
+
+
+def test_copy_and_pickle_round_trips():
+    for s in (exp_series(4), random_series(random.Random(SEED), 5)):
+        assert copy.copy(s) == s
+        assert copy.deepcopy(s) == s
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(s, protocol)) == s
 
 
 def test_order():

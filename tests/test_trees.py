@@ -110,7 +110,8 @@ def test_equality_of_deep_trees():
 
 
 def test_copy_and_pickle_return_the_same_object():
-    for t in (UNIT, X, graft(X, graft(X, X)), left_comb(50)):
+    # the 1,501-leaf comb is past the recursion limit
+    for t in (UNIT, X, graft(X, graft(X, X)), left_comb(50), left_comb(1501)):
         assert copy.copy(t) is t
         assert copy.deepcopy(t) is t
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
