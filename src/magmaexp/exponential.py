@@ -44,8 +44,8 @@ def a_coefficient(t: MagmaTree) -> Fraction:
     """Exact coefficient of the tree t in the exponential series.
 
     Unrolled, the recursion is 1 / prod(2**m - 2) over the degrees m of the
-    inner nodes.  Trees above degree 64 take that product over an explicit
-    walk, so deep trees never reach the recursion limit.
+    inner nodes: the reciprocal of an integer.  Trees above degree 64 take that
+    product over an explicit walk, so deep trees never reach the recursion limit.
     """
     if t.degree <= 1:
         return Fraction(1)
@@ -54,7 +54,8 @@ def a_coefficient(t: MagmaTree) -> Fraction:
         while len(factors) > 1:  # multiply neighbours pairwise, a balanced product
             factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
         return Fraction(1, factors[0])
-    return a_coefficient(t.left) * a_coefficient(t.right) / ((1 << t.degree) - 2)
+    denominator = a_coefficient(t.left).denominator * a_coefficient(t.right).denominator
+    return Fraction(1, denominator * ((1 << t.degree) - 2))
 
 
 def exp_series(truncation: int) -> TreeSeries:
@@ -72,15 +73,17 @@ def exp_series(truncation: int) -> TreeSeries:
 def a_hat(t: MagmaTree) -> int:
     """The integer 2**(n-1) * (n-1)!_M * a(t) for a tree of degree n >= 1.
 
-    Integrality and positivity are theorems; violations raise loudly.
+    Integrality and positivity are theorems; violations raise, naming the tree.
     """
     n = t.degree
     if n < 1:
         raise ValueError("a_hat is defined for trees of degree >= 1")
-    value = a_coefficient(t) * ((1 << (n - 1)) * mersenne_factorial(n - 1))
-    if value.denominator != 1 or value <= 0:
-        raise InvariantError(f"a_hat({render(t)}) = {value} is not a positive integer")
-    return value.numerator
+    a = a_coefficient(t)
+    scale = (1 << (n - 1)) * mersenne_factorial(n - 1)
+    value, remainder = divmod(a.numerator * scale, a.denominator)
+    if remainder or value <= 0:
+        raise InvariantError(f"a_hat({render(t)}) is not a positive integer")
+    return value
 
 
 def a_hat_product(t: MagmaTree) -> int:

@@ -13,9 +13,9 @@ an explicit stack, so deep trees never reach the recursion limit.
 
 Canonical order inside one degree: ascending by the degree of the left
 factor, then by the left factor's own canonical position, then the right
-factor's.  enumerate_trees lists trees in exactly that order (Catalan many
-per degree) and canonical_rank computes a tree's position without
-enumerating anything.
+factor's; that is, lexicographic in the left degrees of the inner nodes in
+preorder (canonical_sort_key).  enumerate_trees lists trees in that order and
+canonical_rank gives a tree's position without enumerating anything.
 
 Wire format: t ::= "1" | "x" | "(" t "*" t ")", whitespace insignificant.
 render always emits the fully parenthesized canonical form; parse accepts
@@ -157,9 +157,11 @@ def canonical_rank(t: MagmaTree) -> int:
     return _bottom_up(t, ranks, rank)
 
 
-def canonical_sort_key(t: MagmaTree) -> tuple[int, int]:
-    """Sort key ordering trees by (degree, canonical position)."""
-    return (t.degree, canonical_rank(t))
+def canonical_sort_key(t: MagmaTree) -> list[int]:
+    """Sort key in canonical order: the degree, then inner left degrees in preorder."""
+    if t.degree == 0:
+        return [0]
+    return [t.degree] + [k for _, k in inner_nodes(t)]
 
 
 def comb_trees(n: int) -> list[MagmaTree]:

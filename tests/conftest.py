@@ -1,6 +1,7 @@
 """Shared fixtures.  SEED fixes every randomized suite; change it and the
 whole run changes together, reproducibly."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -34,3 +35,22 @@ def make_series(rng):
         return random_series(rng, truncation, density, magnitude)
 
     return build
+
+
+@pytest.fixture
+def double_denominator(monkeypatch):
+    """patch(bad) makes a_coefficient(bad) return half its value, so that
+    a_hat(bad) is no longer an integer; the a_hat cache is emptied around it."""
+    exponential = importlib.import_module("magmaexp.exponential")
+    original = exponential.a_coefficient
+
+    def patch(bad):
+        def halved(t):
+            a = original(t)
+            return Fraction(a.numerator, 2 * a.denominator) if t is bad else a
+
+        monkeypatch.setattr(exponential, "a_coefficient", halved)
+
+    exponential.a_hat.cache_clear()
+    yield patch
+    exponential.a_hat.cache_clear()

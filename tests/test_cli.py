@@ -6,7 +6,7 @@ from decimal import Decimal
 import pytest
 
 import magmaexp.cli as cli
-from magmaexp import omega
+from magmaexp import omega, parse
 from magmaexp.cli import main
 from magmaexp.verify import CheckResult
 
@@ -185,6 +185,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         "identity": "functional-equation",
         "counterexample": "coefficient of x off by 1",
     }
+
+
+def test_broken_coefficient_exits_1(capsys, double_denominator):
+    double_denominator(parse("((x*x)*x)"))
+    code, out, err = run(capsys, "exp", "coeffs", "--degree", "3")
+    assert code == 1
+    assert err.startswith("error: a_hat(")
 
 
 def test_module_entry_point():

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from magmaexp import (
+    InvariantError,
     TreeSeries,
     UNIT,
     X,
@@ -19,6 +20,7 @@ from magmaexp import (
     graft,
     omega,
     parse,
+    render,
     trees_with_a_hat_one,
     verify_comb_characterization,
     verify_derivative,
@@ -51,6 +53,20 @@ def test_a_coefficient_against_oracle():
             assert a_coefficient(t) == a_oracle(t)
 
 
+def balanced_tree(n):
+    return X if n == 1 else graft(balanced_tree(n // 2), balanced_tree(n - n // 2))
+
+
+@pytest.mark.parametrize("bad", [parse("((x*x)*x)"), balanced_tree(1024)])
+def test_a_hat_names_the_tree_of_a_broken_coefficient(bad, double_denominator):
+    # every a_hat is odd, so halving a(t) leaves a remainder; the message
+    # names the tree and not the numbers, here far past the int-to-str limit
+    double_denominator(bad)
+    with pytest.raises(InvariantError) as failure:
+        a_hat(bad)
+    assert str(failure.value) == f"a_hat({render(bad)}) is not a positive integer"
+
+
 def test_exp_series_small():
     e = exp_series(2)
     assert e.truncation == 2
@@ -72,6 +88,7 @@ def test_a_hat_values():
 def test_a_hat_triple_agreement():
     for n in range(1, 11):
         for t in enumerate_trees(n):
+            assert a_coefficient(t).numerator == 1
             value = a_hat(t)
             assert value == a_hat_product(t)
             if n >= 2:
@@ -100,6 +117,7 @@ def test_a_hat_of_a_deep_comb():
     comb = X
     for _ in range(1500):
         comb = graft(comb, X)
+    assert a_coefficient(comb).numerator == 1
     assert a_hat(comb) == a_hat_product(comb) == 1
 
 

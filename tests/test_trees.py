@@ -18,6 +18,7 @@ from magmaexp import (
     MagmaTree,
     ParseError,
     canonical_rank,
+    canonical_sort_key,
     catalan,
     comb_trees,
     decompose,
@@ -227,6 +228,29 @@ def test_canonical_rank_matches_enumeration():
     for n in range(1, 10):
         for i, t in enumerate(enumerate_trees(n)):
             assert canonical_rank(t) == i
+
+
+def test_sort_key_restores_canonical_order():
+    # one shuffle of the unit and every tree of degree 1..11: sorting must
+    # restore each degree's enumeration order, the degrees ascending
+    canonical = [UNIT]
+    for n in range(1, 12):
+        canonical += enumerate_trees(n)
+    shuffled = canonical[:]
+    random.Random(SEED).shuffle(shuffled)
+    assert sorted(shuffled, key=canonical_sort_key) == canonical
+
+
+def test_sort_key_agrees_with_canonical_rank():
+    rng = random.Random(SEED)
+    trees = [UNIT, X, left_comb(1501)]
+    trees += [parse(random_tree_text(rng, n)) for n in range(1, 41) for _ in range(5)]
+    keys = [canonical_sort_key(t) for t in trees]
+    ranks = [(t.degree, canonical_rank(t)) for t in trees]
+    for i, a in enumerate(trees):
+        for j, b in enumerate(trees):
+            assert (keys[i] < keys[j]) == (ranks[i] < ranks[j])
+            assert (keys[i] == keys[j]) == (a is b)
 
 
 def test_comb_trees():
