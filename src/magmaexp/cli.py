@@ -17,7 +17,7 @@ import sys
 
 from .errors import BoundExceededError, InvariantError
 from .exponential import coefficient_rows
-from .omega import omega, omega_factorization
+from .omega import _omega_values, omega_factorization
 from .orders import factor_mersenne, order_record, pi_m
 from .verify import run_verification
 
@@ -49,8 +49,7 @@ def _factor_string(factors: dict[int, int]) -> str:
 
 
 def _cmd_omega(args: argparse.Namespace) -> int:
-    for n in range(1, args.max + 1):
-        value = omega(n)
+    for n, value in enumerate(_omega_values(args.max), 1):
         factors = omega_factorization(n) if args.factor else None
         if args.format == "tsv":
             row = f"{n}\t{value}"

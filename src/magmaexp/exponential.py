@@ -79,11 +79,16 @@ def a_hat(t: MagmaTree) -> int:
     if n < 1:
         raise ValueError("a_hat is defined for trees of degree >= 1")
     a = a_coefficient(t)
-    scale = (1 << (n - 1)) * mersenne_factorial(n - 1)
-    value, remainder = divmod(a.numerator * scale, a.denominator)
+    value, remainder = divmod(a.numerator * _a_hat_scale(n), a.denominator)
     if remainder or value <= 0:
         raise InvariantError(f"a_hat({render(t)}) is not a positive integer")
     return value
+
+
+@lru_cache(maxsize=64)
+def _a_hat_scale(n: int) -> int:
+    """The normalization 2**(n-1) * (n-1)!_M that turns a(t) into a_hat(t)."""
+    return (1 << (n - 1)) * mersenne_factorial(n - 1)
 
 
 def a_hat_product(t: MagmaTree) -> int:

@@ -11,6 +11,7 @@ the direct quotient.
 from __future__ import annotations
 
 from math import factorial
+from typing import Iterator
 
 from .errors import InvariantError
 from .mersenne import digit_sum, factorial_valuation, mersenne_binomial, mersenne_factorial
@@ -27,6 +28,21 @@ def omega(n: int) -> int:
     if remainder:
         raise InvariantError(f"omega({n}) is not an integer")
     return quotient
+
+
+def _omega_values(n_max: int) -> Iterator[int]:
+    """omega(1), ..., omega(n_max), each from the one before.
+
+    omega(n) = omega(n - 1) * 2 * (2**(n-1) - 1) / n, one checked division
+    per step, so a table costs no factorial per row.
+    """
+    value = 1
+    for n in range(1, n_max + 1):
+        if n > 1:
+            value, remainder = divmod(value * 2 * ((1 << (n - 1)) - 1), n)
+            if remainder:
+                raise InvariantError(f"omega({n}) is not an integer")
+        yield value
 
 
 def omega_valuation(n: int, p: int) -> int:

@@ -28,7 +28,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .trees import UNIT, X, MagmaTree, _bottom_up, canonical_sort_key, graft, parse, render
+from .trees import (
+    UNIT,
+    X,
+    MagmaTree,
+    ParseError,
+    _bottom_up,
+    canonical_sort_key,
+    graft,
+    parse,
+    render,
+)
 
 Scalar = Union[int, Fraction]
 
@@ -252,35 +262,66 @@ class TreeSeries:
 
     def to_text(self) -> str:
         lines = [f"truncation\t{self.truncation}"]
-        for t, c in self.terms():
-            lines.append(f"{render(t)}\t{c.numerator}/{c.denominator}")
+        try:
+            for t, c in self.terms():
+                lines.append(f"{render(t)}\t{c.numerator}/{c.denominator}")
+        except ValueError as exc:  # past the int-to-str digit limit
+            raise ValueError(
+                f"cannot write the coefficient of {render(t)}: {exc}"
+            ) from None
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "TreeSeries":
+        """Inverse of to_text; every error is a ValueError naming its line."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("missing header line")
         head = lines[0].split("\t")
         if len(head) != 2 or head[0] != "truncation":
             raise ValueError(f"bad header line {lines[0]!r}")
-        truncation = int(head[1])
+        try:
+            truncation = int(head[1])
+        except ValueError as exc:
+            raise ValueError(f"bad header line {lines[0]!r}: {exc}") from None
+        if truncation < 0:
+            raise ValueError(f"negative truncation in header line {lines[0]!r}")
         terms: dict[MagmaTree, Fraction] = {}
+        zeros: list[MagmaTree] = []
         for line in lines[1:]:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ValueError(f"bad term line {line!r}")
             num, _, den = fields[1].partition("/")
             if not den:
-                raise ValueError(f"coefficient {fields[1]!r} is not numerator/denominator")
-            t = parse(fields[0])
+                raise ValueError(
+                    f"coefficient is not numerator/denominator in term line {line!r}"
+                )
+            try:
+                t = parse(fields[0])
+            except ParseError as exc:
+                raise ValueError(f"bad tree in term line {line!r}: {exc}") from exc
+            if t.degree > truncation:
+                raise ValueError(
+                    f"term of degree {t.degree} exceeds truncation {truncation}"
+                    f" in term line {line!r}"
+                )
             if t in terms:
                 raise ValueError(f"repeated tree in term line {line!r}")
             try:
-                terms[t] = Fraction(int(num), int(den))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in term line {line!r}") from None
-        return cls(truncation, terms)
+                p, q = int(num), int(den)
+            except ValueError as exc:  # not an integer, or past the digit limit
+                raise ValueError(
+                    f"bad coefficient in term line {line!r}: {exc}"
+                ) from None
+            if not q:
+                raise ValueError(f"zero denominator in term line {line!r}")
+            terms[t] = Fraction(p, q)
+            if not p:
+                zeros.append(t)
+        for t in zeros:  # kept until now so that a repeat of them is still caught
+            del terms[t]
+        return cls._raw(truncation, terms)
 
     def __repr__(self) -> str:
         shown = [f"{c}*{render(t)}" for t, c in list(self.terms())[:6]]

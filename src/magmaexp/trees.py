@@ -9,7 +9,8 @@ Equal trees are one object: every node is built once, through one table
 keyed by its two children, so equality and hashing are identity.  The table
 is never cleared, since a node built afresh would not equal an older tree of
 the same shape.  parse, render, canonical_rank and _bottom_up walk trees over
-an explicit stack, so deep trees never reach the recursion limit.
+an explicit stack (render recurses only below degree 16), so deep trees never
+reach the recursion limit.
 
 Canonical order inside one degree: ascending by the degree of the left
 factor, then by the left factor's own canonical position, then the right
@@ -159,9 +160,15 @@ def canonical_rank(t: MagmaTree) -> int:
 
 def canonical_sort_key(t: MagmaTree) -> list[int]:
     """Sort key in canonical order: the degree, then inner left degrees in preorder."""
-    if t.degree == 0:
-        return [0]
-    return [t.degree] + [k for _, k in inner_nodes(t)]
+    key = [t.degree]
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        while s.left is not None:
+            key.append(s.left.degree)
+            stack.append(s.right)
+            s = s.left
+    return key
 
 
 def comb_trees(n: int) -> list[MagmaTree]:
@@ -225,6 +232,10 @@ class ParseError(ValueError):
         self.position = position
 
 
+# render recurses only inside subtrees below this degree, so at most 15 deep
+_SHALLOW_DEGREE = 16
+
+
 def render(t: MagmaTree) -> str:
     """Fully parenthesized canonical string for t."""
     parts = []
@@ -232,11 +243,11 @@ def render(t: MagmaTree) -> str:
     pending: list[MagmaTree | None] = []
     s = t
     while True:
-        while s.left is not None:
+        while s.degree >= _SHALLOW_DEGREE:
             parts.append("(")
             pending += (None, s.right)
             s = s.left
-        parts.append("1" if s.degree == 0 else "x")
+        parts.append(_render_shallow(s))
         while True:
             if not pending:
                 return "".join(parts)
@@ -247,46 +258,54 @@ def render(t: MagmaTree) -> str:
         parts.append("*")
 
 
-_ATOMS = {"1": UNIT, "x": X}
+def _render_shallow(t: MagmaTree) -> str:
+    if t.left is None:
+        return "1" if t.degree == 0 else "x"
+    return f"({_render_shallow(t.left)}*{_render_shallow(t.right)})"
 
 
 def parse(text: str) -> MagmaTree:
     """Parse the wire format; inverse of render up to unit normalization."""
     # open products, innermost last: None until its left factor is read
     open_products: list[MagmaTree | None] = []
-    pos = _skip_ws(text, 0)
-    while True:
-        c = text[pos : pos + 1]
-        if c == "(":
+    t = None  # the term just read, or None while a term is expected
+    for pos, c in enumerate(text):
+        if c == "x" or c == "1":
+            if t is not None:
+                raise _parse_error(text, pos, t, open_products)
+            t = X if c == "x" else UNIT
+        elif c == "(":
+            if t is not None:
+                raise _parse_error(text, pos, t, open_products)
             open_products.append(None)
-            pos = _skip_ws(text, pos + 1)
-            continue
-        t = _ATOMS.get(c)
-        if t is None:
-            found = repr(c) if c else "end of input"
-            raise ParseError(f"expected '1', 'x' or '(', found {found}", pos)
-        pos = _skip_ws(text, pos + 1)
-        while open_products and open_products[-1] is not None:
-            pos = _skip_ws(text, _expect(text, pos, ")"))
-            t = graft(open_products.pop(), t)
-        if not open_products:
-            break
-        open_products[-1] = t
-        pos = _skip_ws(text, _expect(text, pos, "*"))
-    if pos != len(text):
-        raise ParseError(f"trailing input {text[pos]!r}", pos)
+        elif c == "*":
+            if t is None or not open_products or open_products[-1] is not None:
+                raise _parse_error(text, pos, t, open_products)
+            open_products[-1] = t
+            t = None
+        elif c == ")":
+            if t is None or not open_products or open_products[-1] is None:
+                raise _parse_error(text, pos, t, open_products)
+            left = open_products.pop()
+            if t is UNIT:
+                t = left
+            elif left is not UNIT:
+                t = _nodes.get((left, t)) or MagmaTree(left, t)
+        elif not c.isspace():
+            raise _parse_error(text, pos, t, open_products)
+    if t is None or open_products:
+        raise _parse_error(text, len(text), t, open_products)
     return t
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _expect(text: str, pos: int, token: str) -> int:
-    if pos >= len(text):
-        raise ParseError(f"expected {token!r}, found end of input", pos)
-    if text[pos] != token:
-        raise ParseError(f"expected {token!r}, found {text[pos]!r}", pos)
-    return pos + 1
+def _parse_error(
+    text: str, pos: int, t: MagmaTree | None, open_products: list
+) -> ParseError:
+    """The error for text[pos] (end of input past the text) in parse's state."""
+    found = repr(text[pos]) if pos < len(text) else "end of input"
+    if t is None:
+        return ParseError(f"expected '1', 'x' or '(', found {found}", pos)
+    if not open_products:
+        return ParseError(f"trailing input {found}", pos)
+    token = "*" if open_products[-1] is None else ")"
+    return ParseError(f"expected {token!r}, found {found}", pos)

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from math import factorial
 
@@ -102,3 +103,9 @@ def test_convolution_term_values():
 def test_omega_recursion_holds():
     for n in range(2, 61):
         assert verify_omega_recursion(n)
+
+
+def test_omega_values_match_omega():
+    omega_module = importlib.import_module("magmaexp.omega")
+    assert list(omega_module._omega_values(300)) == [omega(n) for n in range(1, 301)]
+    assert list(omega_module._omega_values(0)) == []

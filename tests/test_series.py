@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,13 @@ from magmaexp import (
     TreeSeries,
     UNIT,
     X,
+    a_coefficient,
     exp_series,
     generator,
     graft,
     one,
     parse,
+    render,
     zero,
 )
 
@@ -213,3 +216,22 @@ def test_serialization_rejects_garbage():
         TreeSeries.from_text("truncation\t3\nx\t1/0\n")
     with pytest.raises(ValueError, match=r"'x\\t2/1'"):
         TreeSeries.from_text("truncation\t3\nx\t1/1\nx\t2/1\n")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no int-to-str digit limit",
+)
+def test_serialization_past_the_digit_limit_names_the_term():
+    comb = X
+    for _ in range(200):
+        comb = graft(comb, X)
+    s = TreeSeries(201, {comb: a_coefficient(comb)})
+    with pytest.raises(ValueError, match="Exceeds the limit") as err:
+        s.to_text()
+    assert render(comb) in str(err.value)
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    line = f"{render(comb)}\t1/{digits}"
+    with pytest.raises(ValueError, match="Exceeds the limit") as err:
+        TreeSeries.from_text(f"truncation\t201\n{line}\n")
+    assert repr(line) in str(err.value)
