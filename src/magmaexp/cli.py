@@ -26,18 +26,24 @@ BOUND_ERROR = 3
 INVARIANT_ERROR = 1
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _integer_at_least(least: int, kind: str):
+    """An argparse type for integers >= least; every refusal names what it got."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            pass
+        else:
+            if value >= least:
+                return value
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
+
+    return parse
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+_positive = _integer_at_least(1, "positive")
+_nonnegative = _integer_at_least(0, "nonnegative")
 
 
 def _dumps(record: dict) -> str:

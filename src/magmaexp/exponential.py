@@ -62,6 +62,8 @@ def exp_series(truncation: int) -> TreeSeries:
     """The exponential series with all tree coefficients up to the truncation."""
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
+    # the top degree first: an over-budget truncation is refused before any tree is built
+    enumerate_trees(max(truncation, 1))
     coeffs: dict[MagmaTree, Fraction] = {UNIT: Fraction(1)}
     for n in range(1, truncation + 1):
         for t in enumerate_trees(n):

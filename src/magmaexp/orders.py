@@ -24,9 +24,6 @@ DEFAULT_FACTOR_BOUND = 64
 FACTOR_BOUND_ENV = "MAGMAEXP_FACTOR_BOUND"
 WIEFERICH_SEARCH_CAP = 10_000_000
 
-# candidates 2*k*n + 1 are tried up to here before falling back to rho
-_TRIAL_LIMIT = 50_000
-
 
 def factor_bound() -> int:
     """Exponent bound for complete Mersenne factorizations.
@@ -123,36 +120,18 @@ def factor_mersenne(n: int, bound: int | None = None) -> dict[int, int]:
 def _factor_mersenne(n: int) -> tuple[tuple[int, int], ...]:
     m = (1 << n) - 1
     factors: dict[int, int] = {}
-
-    def strip(p: int) -> None:
-        nonlocal m
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            factors[p] = factors.get(p, 0) + e
-
     # factors of 2**d - 1 divide 2**n - 1 for every divisor d of n
     for d in range(1, n):
         if n % d == 0:
             for p, _ in _factor_mersenne(d):
-                strip(p)
-    # remaining (primitive) prime factors are congruent to 1 mod 2n; trial
-    # divide in ascending order, so composite candidates never fire
-    step = 2 * n
-    candidate = step + 1
-    while candidate <= _TRIAL_LIMIT and candidate * candidate <= m:
-        if m % candidate == 0:
-            strip(candidate)
-        candidate += step
-    if m > 1:
-        for p, e in factorize(m).items():
-            factors[p] = factors.get(p, 0) + e
+                while m % p == 0:
+                    m //= p
+                    factors[p] = factors.get(p, 0) + 1
+    # the rest is the primitive part: none of its primes divides 2**j - 1 for j < n
+    factors.update(factorize(m))
     product = 1
     for p, e in factors.items():
-        record = order_record(p)
-        if n % record.order or e != record.wieferich_exponent + valuation(n, p):
+        if e != mersenne_valuation(p, n):
             raise InvariantError(
                 f"exponent of {p} in 2**{n}-1 disagrees with the valuation law"
             )

@@ -175,6 +175,12 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_verify_over_the_tree_budget_exits_3_at_once(capsys):
+    code, out, err = run(capsys, "verify", "--degree", "20")
+    assert code == 3 and out == ""
+    assert err.startswith("error: degree 20 has ")
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = [CheckResult("functional-equation", False, "coefficient of x off by 1")]
     monkeypatch.setattr(cli, "run_verification", lambda degree: failing)
@@ -215,3 +221,9 @@ def test_usage_errors_exit_2(capsys):
         main(["nonsense"])
     assert err.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["omega", "--max", "abc"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --max: expected a positive integer, got abc\n"
+    )

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from magmaexp import (
+    BoundExceededError,
     InvariantError,
     TreeSeries,
     UNIT,
@@ -28,6 +29,7 @@ from magmaexp import (
     verify_split_sums,
     verify_sums,
 )
+from magmaexp.trees import _trees_by_degree
 
 from conftest import SEED
 
@@ -74,6 +76,16 @@ def test_exp_series_small():
     assert e.coefficient(X) == 1
     assert e.coefficient(parse("(x*x)")) == Fraction(1, 2)
     assert exp_series(0) == TreeSeries(0, {UNIT: 1})
+
+
+def test_exp_series_refuses_an_over_budget_truncation_before_building(monkeypatch):
+    # degree 15 has 2,674,440 trees; degree 14, inside the budget, would cost
+    # 742,900 trees and about 10 s if it were built on the way there.  Other
+    # suites may have built it already, so it is taken out for this test.
+    monkeypatch.delitem(_trees_by_degree, 14, raising=False)
+    with pytest.raises(BoundExceededError, match="degree 15"):
+        exp_series(15)
+    assert 14 not in _trees_by_degree
 
 
 def test_a_hat_values():

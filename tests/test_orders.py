@@ -4,6 +4,7 @@ from magmaexp import (
     BoundExceededError,
     divisors,
     factor_mersenne,
+    is_prime,
     mersenne,
     mersenne_order,
     mersenne_valuation,
@@ -109,6 +110,22 @@ def test_factor_mersenne_reassembles_to_bound():
         for p, e in factor_mersenne(n).items():
             product *= p**e
         assert product == mersenne(n)
+
+
+def test_primitive_parts_beyond_the_digests():
+    # the CLI digests pin n <= 64; 101 and 125, seconds each in rho, stay out
+    for n in range(65, 101):
+        factors = factor_mersenne(n, bound=100)
+        product = 1
+        for p, e in factors.items():
+            assert is_prime(p) and e == mersenne_valuation(p, n), (n, p, e)
+            product *= p**e
+        assert product == mersenne(n), n
+    # primitive primes below 50,000 beside one or two large ones
+    assert factor_mersenne(73, bound=100) == {439: 1, 2298041: 1, 9361973132609: 1}
+    assert factor_mersenne(79, bound=100) == {2687: 1, 202029703: 1, 1113491139767: 1}
+    assert factor_mersenne(83, bound=100) == {167: 1, 57912614113275649087721: 1}
+    assert factor_mersenne(97, bound=100) == {11447: 1, 13842607235828485645766393: 1}
 
 
 def test_factor_mersenne_bound():
