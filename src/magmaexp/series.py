@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Iterator, Mapping, Union
 
 from .trees import (
@@ -43,6 +44,13 @@ from .trees import (
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+
+
+def _truncation(n: int) -> int:
+    n = index(n)  # a bool becomes its int; a float or str raises TypeError
+    if n < 0:
+        raise ValueError(f"truncation must be >= 0, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,7 @@ class TreeSeries:
         coefficients: Mapping[MagmaTree, Scalar]
         | Iterable[tuple[MagmaTree, Scalar]] = (),
     ):
-        if truncation < 0:
-            raise ValueError(f"truncation must be >= 0, got {truncation}")
+        truncation = _truncation(truncation)
         items = (
             coefficients.items() if isinstance(coefficients, Mapping) else coefficients
         )
@@ -244,6 +251,7 @@ class TreeSeries:
 
     def truncate(self, truncation: int) -> "TreeSeries":
         """Drop terms above a new, not larger, truncation."""
+        truncation = _truncation(truncation)
         if truncation > self.truncation:
             raise ValueError(
                 f"cannot extend truncation {self.truncation} to {truncation}"

@@ -200,6 +200,19 @@ def test_broken_coefficient_exits_1(capsys, double_denominator):
     assert err.startswith("error: a_hat(")
 
 
+def test_verify_with_a_broken_coefficient_prints_every_check(capsys, double_denominator):
+    double_denominator(parse("((x*x)*x)"))
+    code, out, err = run(capsys, "verify", "--degree", "4")
+    assert code == 1
+    assert len(out.splitlines()) == 7
+    assert "omega-recursion: pass\n" in out
+    assert "binomial-product: FAIL\n" in out
+    assert json.loads(err) == {
+        "identity": "functional-equation",
+        "counterexample": "coefficient of ((x*x)*x) off by 1/4",
+    }
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "magmaexp", "omega", "--max", "2"],

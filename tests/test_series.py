@@ -171,6 +171,17 @@ def test_truncate():
         f.truncate(4)
 
 
+def test_truncation_is_always_a_nonnegative_int():
+    with pytest.raises(ValueError, match="got -1"):
+        exp_series(3).truncate(-1)
+    with pytest.raises(TypeError):
+        TreeSeries(2.5)
+    with pytest.raises(TypeError):
+        exp_series(3).truncate(2.5)
+    assert TreeSeries(True).to_text() == "truncation\t1\n"
+    assert type(exp_series(3).truncate(True).truncation) is int
+
+
 def test_classical_projection():
     x = generator(3)
     f = x * x + TreeSeries(3, {parse("((x*x)*x)"): Fraction(1, 3), parse("(x*(x*x))"): Fraction(2, 3)})

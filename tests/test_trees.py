@@ -159,18 +159,22 @@ json.dump([[[id(t) for t in trees] for trees in result] for result in results], 
 """
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this magmaexp."""
+    src = str(Path(magmaexp.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def test_threads_intern_one_object_per_tree():
     rng = random.Random(SEED)
     texts = [random_tree_text(rng, 12) for _ in range(300)]
-    src = str(Path(magmaexp.__file__).resolve().parents[1])
-    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
         [sys.executable, "-c", _INTERNING_RACE],
         input=json.dumps(texts),
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=180,
     )
     assert done.returncode == 0, done.stderr
@@ -184,10 +188,26 @@ def test_threads_intern_one_object_per_tree():
 
 
 def test_enumeration_counts_match_catalan_recurrence():
-    oracle = catalan_recurrence_oracle(14)
-    for n in range(1, 15):
+    oracle = catalan_recurrence_oracle(13)
+    for n in range(1, 14):
         assert len(enumerate_trees(n)) == oracle[n - 1]
         assert catalan(n - 1) == oracle[n - 1]
+    # degree 14 is 742,900 trees: counted in a child, so that this process
+    # does not hold them in the enumeration cache for the rest of the run
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from magmaexp import catalan, enumerate_trees;"
+            "print(len(enumerate_trees(14)), catalan(13))",
+        ],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=180,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(oracle[13])] * 2
 
 
 def test_enumeration_canonical_order():
