@@ -64,10 +64,10 @@ def exp_series(truncation: int) -> TreeSeries:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     # the top degree first: an over-budget truncation is refused before any tree is built
     enumerate_trees(max(truncation, 1))
-    coeffs: dict[MagmaTree, Fraction] = {UNIT: Fraction(1)}
+    coeffs: dict[MagmaTree, tuple[int, int]] = {UNIT: (1, 1)}
     for n in range(1, truncation + 1):
         for t in enumerate_trees(n):
-            coeffs[t] = a_coefficient(t)
+            coeffs[t] = a_coefficient(t).as_integer_ratio()
     return TreeSeries._raw(truncation, coeffs)
 
 
@@ -97,13 +97,19 @@ def a_hat_product(t: MagmaTree) -> int:
     """a_hat as the product of one Mersenne binomial per inner node.
 
     An inner node whose subtree has degree m and left degree k contributes
-    mersenne_binomial(m - 2, k - 1).  Independent of a_hat's recursion.
+    mersenne_binomial(m - 2, k - 1).  Independent of a_hat's recursion: one
+    walk over the inner nodes on an explicit stack, never a call per subtree.
     """
     if t.degree < 1:
         raise ValueError("a_hat_product is defined for trees of degree >= 1")
     product = 1
-    for subtree, left_degree in inner_nodes(t):
-        product *= mersenne_binomial(subtree.degree - 2, left_degree - 1)
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        while s.left is not None:  # down the left spine, right factors to the stack
+            product *= mersenne_binomial(s.degree - 2, s.left.degree - 1)
+            stack.append(s.right)
+            s = s.left
     return product
 
 

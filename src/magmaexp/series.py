@@ -1,7 +1,11 @@
 """Truncated power series with tree monomials and rational coefficients.
 
 A TreeSeries of truncation N stores finitely many (tree, coefficient) pairs
-with degrees <= N and no zero coefficients.  Binary operations require equal
+with degrees <= N and no zero coefficients.  Each coefficient is stored as a
+normalized integer pair (p, q): q > 0, gcd(p, q) == 1 and p != 0, so equal
+series have equal stores.  Fractions appear only at the API edge: the
+constructor, scale and dilate take them, and coefficient, terms,
+classical_projection and repr give them back.  Binary operations require equal
 truncations; mixing truncations is a programming error and raises, equality
 included.  Multiplication enumerates every factorization of the target tree,
 unit factors and all, and is therefore not associative in general, exactly
@@ -11,8 +15,8 @@ The product groups each operand's trees by degree once and visits only the
 degree pairs whose sum stays within the truncation, so no pair is built and
 then thrown away.  Products, derivatives and substitutions sum their
 contributions exactly in integers: one [numerator, denominator] pair per
-target tree, brought to a common denominator with math.lcm, and turned into
-a normalized Fraction once at the end; sums that cancel to zero are dropped.
+target tree, brought to a common denominator with math.lcm, and reduced by
+one math.gcd at the end; sums that cancel to zero are dropped.
 Tree recursions (derivatives of monomials, images under substitution) run
 over an explicit stack, so deep trees never reach the recursion limit.
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import index
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -99,7 +104,9 @@ class TreeSeries:
             if c:
                 coeffs[t] = c
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(
+            self, "_coeffs", {t: c.as_integer_ratio() for t, c in coeffs.items()}
+        )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TreeSeries is immutable")
@@ -110,23 +117,25 @@ class TreeSeries:
         return TreeSeries._raw, (self.truncation, self._coeffs)
 
     @classmethod
-    def _raw(cls, truncation: int, coeffs: dict[MagmaTree, Fraction]) -> "TreeSeries":
-        # trusted constructor: coeffs already pruned, bounded, and private
+    def _raw(cls, truncation: int, coeffs: dict[MagmaTree, _Pair]) -> "TreeSeries":
+        # trusted constructor: coeffs already normalized, bounded, and private
         series = cls.__new__(cls)
         object.__setattr__(series, "truncation", truncation)
         object.__setattr__(series, "_coeffs", coeffs)
         return series
 
     def coefficient(self, t: MagmaTree) -> Fraction:
-        return self._coeffs.get(t, _ZERO)
+        pair = self._coeffs.get(t)
+        return _ZERO if pair is None else Fraction(*pair)
 
     def terms(self) -> Iterator[tuple[MagmaTree, Fraction]]:
         """Terms sorted by (degree, canonical order)."""
-        for t in sorted(self._coeffs, key=canonical_sort_key):
-            yield t, self._coeffs[t]
+        for t in self.support():
+            yield t, Fraction(*self._coeffs[t])
 
     def support(self) -> list[MagmaTree]:
-        return [t for t, _ in self.terms()]
+        """Trees with a nonzero coefficient, sorted like terms()."""
+        return sorted(self._coeffs, key=canonical_sort_key)
 
     def order(self) -> int | float:
         """Least degree with a nonzero coefficient; math.inf for the zero series."""
@@ -153,16 +162,15 @@ class TreeSeries:
         if not isinstance(other, TreeSeries):
             return NotImplemented
         self._require_same_truncation(other)
-        acc = dict(self._coeffs)
-        for t, c in other._coeffs.items():
-            if t in acc:
-                c += acc.pop(t)
-            if c:
-                acc[t] = c
-        return TreeSeries._raw(self.truncation, acc)
+        acc: _Sums = {t: [p, q] for t, (p, q) in self._coeffs.items()}
+        for t, (p, q) in other._coeffs.items():
+            _add(acc, t, p, q)
+        return TreeSeries._raw(self.truncation, _normalized(acc))
 
     def __neg__(self) -> "TreeSeries":
-        return TreeSeries._raw(self.truncation, {t: -c for t, c in self._coeffs.items()})
+        return TreeSeries._raw(
+            self.truncation, {t: (-p, q) for t, (p, q) in self._coeffs.items()}
+        )
 
     def __sub__(self, other: "TreeSeries") -> "TreeSeries":
         if not isinstance(other, TreeSeries):
@@ -170,11 +178,12 @@ class TreeSeries:
         return self + (-other)
 
     def scale(self, c: Scalar) -> "TreeSeries":
-        c = Fraction(c)
-        if not c:
+        cp, cq = Fraction(c).as_integer_ratio()
+        if not cp:
             return TreeSeries._raw(self.truncation, {})
         return TreeSeries._raw(
-            self.truncation, {t: v * c for t, v in self._coeffs.items()}
+            self.truncation,
+            {t: _reduced(p * cp, q * cq) for t, (p, q) in self._coeffs.items()},
         )
 
     def __mul__(self, other: Union["TreeSeries", Scalar]) -> "TreeSeries":
@@ -192,11 +201,11 @@ class TreeSeries:
                 if d1 + d2 > n:
                     continue
                 for t1 in trees1:
-                    p1, q1 = a[t1].numerator, a[t1].denominator
+                    p1, q1 = a[t1]
                     for t2 in trees2:
-                        c2 = b[t2]
-                        _add(acc, graft(t1, t2), p1 * c2.numerator, q1 * c2.denominator)
-        return TreeSeries._raw(n, _fractions(acc))
+                        p2, q2 = b[t2]
+                        _add(acc, graft(t1, t2), p1 * p2, q1 * q2)
+        return TreeSeries._raw(n, _normalized(acc))
 
     def __rmul__(self, other: Scalar) -> "TreeSeries":
         if isinstance(other, (int, Fraction)):
@@ -206,11 +215,10 @@ class TreeSeries:
     def derivative(self) -> "TreeSeries":
         """Leibniz derivative: d(1) = 0, d(x) = 1, d(t1*t2) = d(t1)*t2 + t1*d(t2)."""
         acc: _Sums = {}
-        for t, c in self._coeffs.items():
-            p, q = c.numerator, c.denominator
+        for t, (p, q) in self._coeffs.items():
             for s, multiplicity in _monomial_derivative(t):
                 _add(acc, s, p * multiplicity, q)
-        return TreeSeries._raw(self.truncation, _fractions(acc))
+        return TreeSeries._raw(self.truncation, _normalized(acc))
 
     def substitute(self, g: "TreeSeries") -> "TreeSeries":
         """The algebra homomorphism sending x to g, applied to this series.
@@ -232,21 +240,20 @@ class TreeSeries:
             return images[t.left] * images[t.right]
 
         acc: _Sums = {}
-        for t, c in self._coeffs.items():
-            p, q = c.numerator, c.denominator
-            for s, v in _bottom_up(t, images, product)._coeffs.items():
-                _add(acc, s, p * v.numerator, q * v.denominator)
-        return TreeSeries._raw(self.truncation, _fractions(acc))
+        for t, (p, q) in self._coeffs.items():
+            for s, (pv, qv) in _bottom_up(t, images, product)._coeffs.items():
+                _add(acc, s, p * pv, q * qv)
+        return TreeSeries._raw(self.truncation, _normalized(acc))
 
     def dilate(self, c: Scalar) -> "TreeSeries":
         """Substitution of c*x for x: degree-n coefficients pick up c**n."""
-        c = Fraction(c)
-        powers = {d: c**d for d in {t.degree for t in self._coeffs}}
-        acc: dict[MagmaTree, Fraction] = {}
-        for t, v in self._coeffs.items():
-            w = v * powers[t.degree]
-            if w:
-                acc[t] = w
+        cp, cq = Fraction(c).as_integer_ratio()
+        powers = {d: (cp**d, cq**d) for d in {t.degree for t in self._coeffs}}
+        acc: dict[MagmaTree, _Pair] = {}
+        for t, (p, q) in self._coeffs.items():
+            pd, qd = powers[t.degree]
+            if pd:  # only 0**d with d >= 1 vanishes
+                acc[t] = _reduced(p * pd, q * qd)
         return TreeSeries._raw(self.truncation, acc)
 
     def truncate(self, truncation: int) -> "TreeSeries":
@@ -264,15 +271,16 @@ class TreeSeries:
     def classical_projection(self) -> ClassicalSeries:
         """Forget tree shapes: each degree-n tree maps to x**n."""
         coeffs = [_ZERO] * (self.truncation + 1)
-        for t, c in self._coeffs.items():
-            coeffs[t.degree] += c
+        for t, pair in self._coeffs.items():
+            coeffs[t.degree] += Fraction(*pair)
         return ClassicalSeries(self.truncation, tuple(coeffs))
 
     def to_text(self) -> str:
         lines = [f"truncation\t{self.truncation}"]
         try:
-            for t, c in self.terms():
-                lines.append(f"{render(t)}\t{c.numerator}/{c.denominator}")
+            for t in self.support():
+                p, q = self._coeffs[t]
+                lines.append(f"{render(t)}\t{p}/{q}")
         except ValueError as exc:  # past the int-to-str digit limit
             raise ValueError(
                 f"cannot write the coefficient of {render(t)}: {exc}"
@@ -294,7 +302,7 @@ class TreeSeries:
             raise ValueError(f"bad header line {lines[0]!r}: {exc}") from None
         if truncation < 0:
             raise ValueError(f"negative truncation in header line {lines[0]!r}")
-        terms: dict[MagmaTree, Fraction] = {}
+        terms: dict[MagmaTree, _Pair] = {}
         zeros: list[MagmaTree] = []
         for line in lines[1:]:
             fields = line.split("\t")
@@ -324,7 +332,9 @@ class TreeSeries:
                 ) from None
             if not q:
                 raise ValueError(f"zero denominator in term line {line!r}")
-            terms[t] = Fraction(p, q)
+            if q < 0:
+                p, q = -p, -q
+            terms[t] = _reduced(p, q)
             if not p:
                 zeros.append(t)
         for t in zeros:  # kept until now so that a repeat of them is still caught
@@ -332,13 +342,15 @@ class TreeSeries:
         return cls._raw(truncation, terms)
 
     def __repr__(self) -> str:
-        shown = [f"{c}*{render(t)}" for t, c in list(self.terms())[:6]]
+        shown = [f"{c}*{render(t)}" for t, c in islice(self.terms(), 6)]
         if len(self._coeffs) > 6:
             shown.append("...")
         body = " + ".join(shown) if shown else "0"
         return f"TreeSeries(N={self.truncation}, {body})"
 
 
+# a stored coefficient p/q: q > 0, gcd(p, q) == 1 and p != 0
+_Pair = tuple[int, int]
 # exact sum per tree as [numerator, denominator]; denominators stay positive
 _Sums = dict[MagmaTree, list[int]]
 
@@ -356,12 +368,18 @@ def _add(acc: _Sums, t: MagmaTree, p: int, q: int) -> None:
         entry[1] = common
 
 
-def _fractions(acc: _Sums) -> dict[MagmaTree, Fraction]:
-    """Each sum as a normalized Fraction; sums that cancel to zero are dropped."""
-    return {t: Fraction(p, q) for t, (p, q) in acc.items() if p}
+def _reduced(p: int, q: int) -> _Pair:
+    """p/q in lowest terms, for q > 0."""
+    g = math.gcd(p, q)
+    return (p, q) if g == 1 else (p // g, q // g)
 
 
-def _by_degree(coeffs: Mapping[MagmaTree, Fraction]) -> dict[int, list[MagmaTree]]:
+def _normalized(acc: _Sums) -> dict[MagmaTree, _Pair]:
+    """Each sum in lowest terms; sums that cancel to zero are dropped."""
+    return {t: _reduced(p, q) for t, (p, q) in acc.items() if p}
+
+
+def _by_degree(coeffs: Mapping[MagmaTree, _Pair]) -> dict[int, list[MagmaTree]]:
     buckets: dict[int, list[MagmaTree]] = {}
     for t in coeffs:
         buckets.setdefault(t.degree, []).append(t)

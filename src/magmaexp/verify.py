@@ -2,11 +2,12 @@
 
 Each check takes a degree budget and returns None when its identity holds
 up to that degree, or the first counterexample rendered as text.  The
-boolean `verify_*` helpers and `run_verification` call the same checks.
-All checks are exact; there are no tolerances anywhere.  In
-`run_verification` a broken invariant inside a check (an InvariantError,
-such as a non-integer a_hat) fails that check with the error's text as its
-counterexample, and the other checks still run.
+boolean `verify_*` helpers and `run_verification` run the same checks
+through one runner, `_run`.  All checks are exact; there are no tolerances
+anywhere.  A broken invariant inside a check (an InvariantError, such as a
+non-integer a_hat) fails that check with the error's text as its
+counterexample: `run_verification` still runs the other checks, and a
+boolean helper returns False.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ def _factorizations(max_degree: int) -> str | None:
     return None
 
 
+def _run(check, max_degree: int) -> str | None:
+    """The check's counterexample, or None; a broken invariant is one too."""
+    try:
+        return check(max_degree)
+    except InvariantError as exc:  # a BoundExceededError still propagates
+        return str(exc)
+
+
 # (name, least degree, check); below its least degree a check passes vacuously
 _CHECKS = (
     ("functional-equation", 0, _functional_equation),
@@ -118,17 +127,14 @@ def run_verification(max_degree: int) -> list[CheckResult]:
         if max_degree < least:
             results.append(CheckResult(name, True, f"vacuous below degree {least}"))
             continue
-        try:
-            counterexample = check(max_degree)
-        except InvariantError as exc:  # a BoundExceededError still propagates
-            counterexample = str(exc)
+        counterexample = _run(check, max_degree)
         results.append(CheckResult(name, counterexample is None, counterexample or ""))
     return results
 
 
 def verify_functional_equation(truncation: int) -> bool:
     """exp * exp == exp(2x) up to the truncation."""
-    return _functional_equation(truncation) is None
+    return _run(_functional_equation, truncation) is None
 
 
 def verify_derivative(truncation: int) -> bool:
@@ -137,11 +143,11 @@ def verify_derivative(truncation: int) -> bool:
     Computed one degree higher so differentiation loses nothing below the
     comparison window.
     """
-    return _derivative(truncation + 1) is None
+    return _run(_derivative, truncation + 1) is None
 
 
 def verify_sums(n: int) -> bool:
     """Degree-n coefficient sums: sum a_hat(t) = omega(n), hence sum a(t) = 1/n!."""
     if n < 1:
         raise ValueError(f"coefficient sums start at degree 1, got {n}")
-    return _sums_at(n) is None
+    return _run(_sums_at, n) is None

@@ -3,10 +3,10 @@
 The reference functions below are the straightforward algorithms: the
 product visits every pair of terms and drops those above the truncation,
 and every contribution is added as a Fraction, one term at a time.  They
-work on plain dicts and share no code with `magmaexp.series` beyond tree
-grafting.  After every operation the kernel's stored terms must also keep
-the series invariants: no zero value, no degree above the truncation, and
-every value a normalized Fraction with a positive denominator.
+work on plain dicts of Fractions and share no code with `magmaexp.series`
+beyond tree grafting.  After every operation the kernel's stored terms must
+also keep the series invariants: no degree above the truncation, and every
+value an integer pair (p, q) with p != 0, q > 0 and gcd(p, q) == 1.
 """
 
 import math
@@ -101,23 +101,25 @@ def reference_substitute(a, g, truncation):
 
 
 def assert_invariants(s):
-    for t, c in s._coeffs.items():
-        assert type(c) is Fraction
-        assert c != 0
+    for t, pair in s._coeffs.items():
+        assert type(pair) is tuple and len(pair) == 2
+        p, q = pair
+        assert type(p) is int and type(q) is int
+        assert p != 0
+        assert q > 0
+        assert math.gcd(p, q) == 1
         assert t.degree <= s.truncation
-        assert c.denominator > 0
-        assert math.gcd(c.numerator, c.denominator) == 1
 
 
 def assert_matches(result, expected):
     assert_invariants(result)
-    assert result._coeffs == expected
+    assert dict(result.terms()) == expected
 
 
 def check_all_operations(f, g, h):
     """Every kernel operation on f and g (and h, of order >= 1) vs the reference."""
     n = f.truncation
-    a, b = f._coeffs, g._coeffs
+    a, b = dict(f.terms()), dict(g.terms())
     assert_matches(f * g, all_pairs_product(a, b, n))
     assert_matches(g * f, all_pairs_product(b, a, n))
     assert_matches(f * f, all_pairs_product(a, a, n))
@@ -127,7 +129,7 @@ def check_all_operations(f, g, h):
     assert_matches(f.derivative(), per_term_derivative(a))
     for c in (2, Fraction(-2, 3), 0):
         assert_matches(f.dilate(c), per_term_dilate(a, c))
-    assert_matches(f.substitute(h), reference_substitute(a, h._coeffs, n))
+    assert_matches(f.substitute(h), reference_substitute(a, dict(h.terms()), n))
 
 
 def order_one(rng, truncation):
@@ -159,16 +161,16 @@ def test_product_sums_that_cancel():
     f = TreeSeries(3, {UNIT: 1, X: 1})
     g = TreeSeries(3, {UNIT: 1, X: -1})
     product = f * g
-    assert_matches(product, all_pairs_product(f._coeffs, g._coeffs, 3))
-    assert product._coeffs == {UNIT: 1, graft(X, X): -1}
+    assert_matches(product, all_pairs_product(dict(f.terms()), dict(g.terms()), 3))
+    assert dict(product.terms()) == {UNIT: 1, graft(X, X): -1}
 
 
 def test_derivative_sums_that_cancel():
     # both degree-3 trees differentiate to 3 (x*x)
     f = TreeSeries(3, {parse("((x*x)*x)"): 1, parse("(x*(x*x))"): -1, X: 5})
     d = f.derivative()
-    assert_matches(d, per_term_derivative(f._coeffs))
-    assert d._coeffs == {UNIT: 5}
+    assert_matches(d, per_term_derivative(dict(f.terms())))
+    assert dict(d.terms()) == {UNIT: 5}
     assert_matches(TreeSeries(3, {X: 5}).derivative().derivative(), {})
 
 
@@ -176,15 +178,15 @@ def test_mixed_denominators():
     # x coefficient: 1/2 * 1/7 + 1/3 * 1/5 = 1/14 + 1/15, no common denominator
     f = TreeSeries(2, {UNIT: Fraction(1, 2), X: Fraction(1, 3)})
     g = TreeSeries(2, {UNIT: Fraction(1, 5), X: Fraction(1, 7)})
-    assert_matches(f * g, all_pairs_product(f._coeffs, g._coeffs, 2))
+    assert_matches(f * g, all_pairs_product(dict(f.terms()), dict(g.terms()), 2))
     assert (f * g).coefficient(X) == Fraction(29, 210)
     # 1/2 * 1/3 + 1/3 * 1 = 1/6 + 2/6 sums to 3/6, which must come out as 1/2
     h = TreeSeries(2, {UNIT: 1, X: Fraction(1, 3)})
-    assert_matches(f * h, all_pairs_product(f._coeffs, h._coeffs, 2))
+    assert_matches(f * h, all_pairs_product(dict(f.terms()), dict(h.terms()), 2))
     assert (f * h).coefficient(X) == Fraction(1, 2)
     # derivative: 3/4 + 3/6 lands on (x*x) from two trees
     k = TreeSeries(3, {parse("((x*x)*x)"): Fraction(1, 4), parse("(x*(x*x))"): Fraction(1, 6)})
-    assert_matches(k.derivative(), per_term_derivative(k._coeffs))
+    assert_matches(k.derivative(), per_term_derivative(dict(k.terms())))
     assert k.derivative().coefficient(graft(X, X)) == Fraction(5, 4)
 
 
@@ -196,8 +198,27 @@ def test_constructor_merges_repeated_pairs():
     ]
     s = TreeSeries(3, pairs)
     assert_matches(s, reference_series(pairs))
-    assert s._coeffs == {X: 1, UNIT: 1}
+    assert dict(s.terms()) == {X: 1, UNIT: 1}
     # a tree whose sum cancelled can come back
     again = [(X, 1), (X, -1), (X, 5), (xx, Fraction(0))]
     assert_matches(TreeSeries(3, again), {X: 5})
     assert_matches(TreeSeries(3, {X: 0}), {})
+
+
+def test_public_edge_gives_normalized_fractions():
+    xx = graft(X, X)
+    s = TreeSeries(3, {UNIT: 4, X: Fraction(2, 4), xx: Fraction(-3, 6)})
+    assert_invariants(s)
+    assert s._coeffs == {UNIT: (4, 1), X: (1, 2), xx: (-1, 2)}
+    for t, c in list(s.terms()) + [(t, s.coefficient(t)) for t in (UNIT, X, xx)]:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+    assert s.coefficient(X) == Fraction(1, 2)
+    assert s.coefficient(parse("(x*(x*x))")) == 0
+    assert type(s.coefficient(parse("(x*(x*x))"))) is Fraction
+    # each text line is reduced with its sign on the numerator
+    lines = TreeSeries.from_text("truncation\t3\n1\t-8/-2\nx\t2/4\n(x*x)\t1/-2\n((x*x)*x)\t0/-3\n")
+    assert_invariants(lines)
+    assert lines == TreeSeries.from_text("truncation\t3\n1\t4/1\nx\t1/2\n(x*x)\t-1/2\n")
+    assert lines == s
+    assert lines.to_text() == "truncation\t3\n1\t4/1\nx\t1/2\n(x*x)\t-1/2\n"

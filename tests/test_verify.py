@@ -87,3 +87,16 @@ def test_a_broken_invariant_fails_its_own_checks_and_the_rest_still_run(
         ("omega-recursion", True, ""),
         ("factorizations", True, ""),
     ]
+
+
+def test_boolean_helpers_return_false_on_a_broken_invariant(double_denominator):
+    # the helpers share run_verification's failure path: a non-integer a_hat
+    # is a failed identity, not an exception
+    double_denominator(parse("((x*x)*x)"))
+    passed = {r.name: r.passed for r in run_verification(4)}
+    assert verify_sums(3) is False
+    assert verify_functional_equation(4) is False
+    assert verify_derivative(3) is False
+    assert verify_functional_equation(4) == passed["functional-equation"]
+    assert verify_derivative(3) == passed["derivative"]
+    assert all(verify_sums(n) for n in range(1, 5)) == passed["coefficient-sums"]
