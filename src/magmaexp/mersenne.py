@@ -4,9 +4,11 @@ Mersenne numbers are indexed by every positive exponent, not only prime
 ones: the n-th is 2**n - 1.  The Mersenne factorial n!_M is the product of
 the first n of them (empty product 1), and the Mersenne binomial is the
 factorial quotient n!_M / (r!_M * (n-r)!_M).  That quotient is always an
-integer; it equals the Gaussian binomial coefficient evaluated at q = 2,
-which this module also computes by an independent recurrence so the two
-routes can check each other.
+integer, the product of the cyclotomic values Phi_d(2) over the d where a
+base-d carry occurs in r + (n-r), and it is computed that way, with no long
+division of factorials.  It equals the Gaussian binomial coefficient
+evaluated at q = 2, which this module also computes by an independent
+recurrence so the two routes can check each other.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvariantError
-from .primes import is_prime
+from .primes import is_prime, primes_up_to
 
 
 def mersenne(n: int) -> int:
@@ -24,14 +26,14 @@ def mersenne(n: int) -> int:
     return (1 << n) - 1
 
 
-def _mersenne_product(lo: int, hi: int) -> int:
-    """Product of 2**i - 1 over lo <= i < hi (1 if empty), split in halves."""
-    if hi - lo > 16:
-        mid = (lo + hi) // 2
-        return _mersenne_product(lo, mid) * _mersenne_product(mid, hi)
+def _product(values: list[int]) -> int:
+    """Product of values (1 if empty), split in halves."""
+    if len(values) > 16:
+        mid = len(values) // 2
+        return _product(values[:mid]) * _product(values[mid:])
     product = 1
-    for i in range(lo, hi):
-        product *= (1 << i) - 1
+    for v in values:
+        product *= v
     return product
 
 
@@ -39,24 +41,50 @@ def mersenne_factorial(n: int) -> int:
     """Product of the first n Mersenne numbers; 1 for n = 0."""
     if n < 0:
         raise ValueError(f"mersenne_factorial needs n >= 0, got {n}")
-    return _mersenne_product(1, n + 1)
+    return _product([(1 << i) - 1 for i in range(1, n + 1)])
+
+
+def _cyclotomic_parts(d: int, primes: list[int]) -> tuple[int, int]:
+    """Möbius numerator and denominator of Phi_d(2); primes are d's primes.
+
+    Phi_d(2) is the product of (2**(d/s) - 1)**mu(s) over the squarefree
+    divisors s of d: the s with an even number of primes go on top.
+    """
+    parts = [1, 1]
+    exponents = [(d, 0)]  # (d / s, parity of the prime count of s)
+    for p in primes:
+        exponents += [(e // p, odd ^ 1) for e, odd in exponents]
+    for e, odd in exponents:
+        parts[odd] *= (1 << e) - 1
+    return parts[0], parts[1]
 
 
 @lru_cache(maxsize=256)
 def mersenne_binomial(n: int, r: int) -> int:
-    """Mersenne binomial coefficient, an exact and checked factorial quotient.
+    """Mersenne binomial coefficient, as a product of cyclotomic values.
 
-    A nonzero remainder would mean the integrality theorem failed, which is a
-    bug, so it raises InvariantError rather than returning a rounded value.
+    n!_M is the product of Phi_d(2)**(n // d) over d >= 1, so the quotient
+    n!_M / (r!_M * (n-r)!_M) is the product of the Phi_d(2) with
+    n // d - r // d - (n - r) // d = 1 (that difference is 0 or 1).  Each
+    Phi_d(2) is one exact division; a remainder would mean the cyclotomic
+    factorization failed, which is a bug, so it raises InvariantError.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
-    s = min(r, n - r)  # the top s factors of n!_M over s!_M
-    top = _mersenne_product(n - s + 1, n + 1)
-    quotient, remainder = divmod(top, _mersenne_product(1, s + 1))
-    if remainder:
-        raise InvariantError(f"mersenne_binomial({n}, {r}) is not an integer")
-    return quotient
+    primes_of: list[list[int]] = [[] for _ in range(n + 1)]
+    for p in primes_up_to(n):
+        for d in range(p, n + 1, p):
+            primes_of[d].append(p)
+    factors = []
+    for d in range(2, n + 1):
+        if n // d - r // d - (n - r) // d:
+            value, remainder = divmod(*_cyclotomic_parts(d, primes_of[d]))
+            if remainder:
+                raise InvariantError(
+                    f"mersenne_binomial({n}, {r}): Phi_{d}(2) is not an integer"
+                )
+            factors.append(value)
+    return _product(factors)
 
 
 def gaussian_binomial_at_2(n: int, r: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .errors import BoundExceededError, InvariantError
 from .primes import factorize, is_prime, primes_up_to, valuation
@@ -127,8 +128,9 @@ def _factor_mersenne(n: int) -> tuple[tuple[int, int], ...]:
                 while m % p == 0:
                     m //= p
                     factors[p] = factors.get(p, 0) + 1
-    # the rest is the primitive part: none of its primes divides 2**j - 1 for j < n
-    factors.update(factorize(m))
+    # the rest is the primitive part: none of its primes divides 2**j - 1 for
+    # j < n, so each has order n and is 1 mod lcm(2, n)
+    factors.update(factorize(m, one_mod=lcm(2, n)))
     product = 1
     for p, e in factors.items():
         if e != mersenne_valuation(p, n):

@@ -9,7 +9,8 @@ results are still reproducible run to run.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, lcm
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -55,47 +56,62 @@ def primes_up_to(limit: int) -> list[int]:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(limit + 1), sieve))
 
 
-def _brent_rho(n: int) -> int:
+def _brent_rho(n: int, exponent: int) -> int:
     """A nontrivial factor of an odd composite n.
 
-    Brent's cycle variant with deterministic parameters; the polynomial
-    increment c is retried in a fixed order, so runs are reproducible.
+    Brent's cycle variant on y -> y**exponent + c with deterministic
+    parameters; the increment c is retried in a fixed order, so runs are
+    reproducible.  When every prime factor p of n has exponent | p - 1, the
+    powers y**exponent mod p take only (p - 1) / exponent nonzero values, so
+    the walk closes about sqrt(exponent - 1) times sooner (Brent & Pollard,
+    Math. Comp. 36, 1981).  The walk starts at 3, not 2: modulo a divisor of
+    2**k - 1, with an exponent that k divides and c = 1, 2 is a fixed point.
     """
     for c in range(1, 1000):
-        y = 2
+        y = 3
         m = 128
         g = q = r = 1
         x = ys = y
         while g == 1:
             x = y
             for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
+                y = pow(y, exponent, n) + c
+            done = 0
+            while done < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                for _ in range(min(m, r - done)):
+                    y = pow(y, exponent, n) + c
+                    q = q * (x - y) % n
                 g = gcd(q, n)
-                k += m
+                done += m
             r *= 2
         if g == n:
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                ys = pow(ys, exponent, n) + c
+                g = gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"failed to split {n}")
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}; factorize(1) == {}."""
+def factorize(n: int, *, one_mod: int = 1) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}; factorize(1) == {}.
+
+    one_mod is a hint that every prime factor of n is 1 modulo it (the
+    primitive part of 2**k - 1 has one_mod = lcm(2, k)).  It only speeds up
+    the splitter, which then iterates y**lcm(2, one_mod) + c; a wrong hint
+    costs time, never correctness, since every factor is still proven by
+    is_prime.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
+    if one_mod < 1:
+        raise ValueError(f"one_mod must be >= 1, got {one_mod}")
+    exponent = lcm(2, one_mod)
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -109,7 +125,7 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _brent_rho(m)
+        d = _brent_rho(m, exponent)
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(out.items()))

@@ -1,13 +1,15 @@
 """The identity checks: one function per identity, bundled for `magmaexp verify`.
 
-Each check takes a degree budget and returns None when its identity holds
-up to that degree, or the first counterexample rendered as text.  The
-boolean `verify_*` helpers and `run_verification` run the same checks
-through one runner, `_run`.  All checks are exact; there are no tolerances
-anywhere.  A broken invariant inside a check (an InvariantError, such as a
-non-integer a_hat) fails that check with the error's text as its
-counterexample: `run_verification` still runs the other checks, and a
-boolean helper returns False.
+Each check takes the exponential series truncated at a degree budget and
+returns None when its identity holds up to that degree, or the first
+counterexample rendered as text.  `run_verification` builds the series once
+per call and hands it to every check; the checks that do not read its
+coefficients read only its truncation.  The boolean `verify_*` helpers and
+`run_verification` run the same checks through one runner, `_run`.  All
+checks are exact; there are no tolerances anywhere.  A broken invariant
+inside a check (an InvariantError, such as a non-integer a_hat) fails that
+check with the error's text as its counterexample: `run_verification` still
+runs the other checks, and a boolean helper returns False.
 """
 
 from __future__ import annotations
@@ -37,17 +39,14 @@ def _first_difference(left: TreeSeries, right: TreeSeries) -> str | None:
     return f"coefficient of {render(t)} off by {c}"
 
 
-def _functional_equation(max_degree: int) -> str | None:
-    e = exp_series(max_degree)
+def _functional_equation(e: TreeSeries) -> str | None:
     return _first_difference(e * e, e.dilate(2))
 
 
-def _derivative(max_degree: int) -> str | None:
+def _derivative(e: TreeSeries) -> str | None:
     # stays within the degree budget: compares d(exp) against exp one lower
-    e = exp_series(max_degree)
-    return _first_difference(
-        e.derivative().truncate(max_degree - 1), e.truncate(max_degree - 1)
-    )
+    below = e.truncation - 1
+    return _first_difference(e.derivative().truncate(below), e.truncate(below))
 
 
 def _sums_at(n: int) -> str | None:
@@ -59,49 +58,49 @@ def _sums_at(n: int) -> str | None:
     return None
 
 
-def _coefficient_sums(max_degree: int) -> str | None:
-    for n in range(1, max_degree + 1):
+def _coefficient_sums(e: TreeSeries) -> str | None:
+    for n in range(1, e.truncation + 1):
         counterexample = _sums_at(n)
         if counterexample is not None:
             return counterexample
     return None
 
 
-def _binomial_product(max_degree: int) -> str | None:
-    for n in range(1, max_degree + 1):
+def _binomial_product(e: TreeSeries) -> str | None:
+    for n in range(1, e.truncation + 1):
         for t in enumerate_trees(n):
             if a_hat(t) != a_hat_product(t):
                 return f"{render(t)}: recursion gives {a_hat(t)}, product {a_hat_product(t)}"
     return None
 
 
-def _binomial_recursion(max_degree: int) -> str | None:
-    for n in range(2, max_degree + 1):
+def _binomial_recursion(e: TreeSeries) -> str | None:
+    for n in range(2, e.truncation + 1):
         for t in enumerate_trees(n):
             if not a_hat_recursion_check(t):
                 return f"recursion step fails at {render(t)}"
     return None
 
 
-def _omega_recursion(max_degree: int) -> str | None:
-    for n in range(2, max_degree + 1):
+def _omega_recursion(e: TreeSeries) -> str | None:
+    for n in range(2, e.truncation + 1):
         if not verify_omega_recursion(n):
             return f"convolution misses omega({n})"
     return None
 
 
-def _factorizations(max_degree: int) -> str | None:
+def _factorizations(e: TreeSeries) -> str | None:
     # both factorizations check their own reassembly and raise on a mismatch
-    for n in range(1, min(max_degree, factor_bound()) + 1):
+    for n in range(1, min(e.truncation, factor_bound()) + 1):
         factor_mersenne(n)
         omega_factorization(n)
     return None
 
 
-def _run(check, max_degree: int) -> str | None:
+def _run(check, arg) -> str | None:
     """The check's counterexample, or None; a broken invariant is one too."""
     try:
-        return check(max_degree)
+        return check(arg)
     except InvariantError as exc:  # a BoundExceededError still propagates
         return str(exc)
 
@@ -122,19 +121,20 @@ def run_verification(max_degree: int) -> list[CheckResult]:
     """Run every identity check up to max_degree, in a fixed order."""
     if max_degree < 0:
         raise ValueError(f"degree must be >= 0, got {max_degree}")
+    e = exp_series(max_degree)  # one series per call, read by every check
     results = []
     for name, least, check in _CHECKS:
         if max_degree < least:
             results.append(CheckResult(name, True, f"vacuous below degree {least}"))
             continue
-        counterexample = _run(check, max_degree)
+        counterexample = _run(check, e)
         results.append(CheckResult(name, counterexample is None, counterexample or ""))
     return results
 
 
 def verify_functional_equation(truncation: int) -> bool:
     """exp * exp == exp(2x) up to the truncation."""
-    return _run(_functional_equation, truncation) is None
+    return _run(_functional_equation, exp_series(truncation)) is None
 
 
 def verify_derivative(truncation: int) -> bool:
@@ -143,7 +143,7 @@ def verify_derivative(truncation: int) -> bool:
     Computed one degree higher so differentiation loses nothing below the
     comparison window.
     """
-    return _run(_derivative, truncation + 1) is None
+    return _run(_derivative, exp_series(truncation + 1)) is None
 
 
 def verify_sums(n: int) -> bool:

@@ -1,8 +1,12 @@
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import SEED
 from magmaexp import (
+    InvariantError,
     digit_sum,
     factorial_valuation,
     gaussian_binomial_at_2,
@@ -93,6 +97,51 @@ def test_binomial_symmetry_and_gaussian_agreement():
             assert value == mersenne_binomial(n, n - r)
             assert value == gaussian_binomial_at_2(n, r)
             assert value >= 1
+
+
+def product_formula_row(n):
+    # [n, r] = [n, r-1] * (2**(n-r+1) - 1) / (2**r - 1), one exact step per r
+    row = [1]
+    for r in range(1, n + 1):
+        value, remainder = divmod(row[-1] * ((1 << (n - r + 1)) - 1), (1 << r) - 1)
+        assert remainder == 0
+        row.append(value)
+    return row
+
+
+def test_cyclotomic_binomial_against_both_routes_to_150():
+    # every r against the product formula; gaussian_binomial_at_2 costs n**2
+    # per call, so it is asked at the middle and at one seeded r per n
+    rng = random.Random(SEED)
+    for n in range(151):
+        assert [mersenne_binomial(n, r) for r in range(n + 1)] == product_formula_row(n)
+        for r in (n // 2, rng.randint(0, n)):
+            assert mersenne_binomial(n, r) == gaussian_binomial_at_2(n, r)
+
+
+def test_cyclotomic_binomial_is_the_factorial_quotient_at_scale():
+    for n in (700, 1000, 1500):
+        r = n // 2 - 1
+        value = mersenne_binomial(n, r)
+        assert value * mersenne_factorial(r) * mersenne_factorial(n - r) == mersenne_factorial(n)
+
+
+def test_a_remainder_in_a_cyclotomic_value_names_the_binomial(monkeypatch):
+    # Phi_d(2) is odd, so doubling its Möbius denominator leaves a remainder
+    module = importlib.import_module("magmaexp.mersenne")
+    parts = module._cyclotomic_parts
+
+    def doubled_bottom(d, primes):
+        top, bottom = parts(d, primes)
+        return top, 2 * bottom
+
+    monkeypatch.setattr(module, "_cyclotomic_parts", doubled_bottom)
+    mersenne_binomial.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match=r"mersenne_binomial\(12, 5\)"):
+            mersenne_binomial(12, 5)
+    finally:
+        mersenne_binomial.cache_clear()
 
 
 def test_gaussian_binomial_values():

@@ -113,9 +113,9 @@ def test_factor_mersenne_reassembles_to_bound():
 
 
 def test_primitive_parts_beyond_the_digests():
-    # the CLI digests pin n <= 64; 101 and 125, seconds each in rho, stay out
-    for n in range(65, 101):
-        factors = factor_mersenne(n, bound=100)
+    # the CLI digests pin n <= 64
+    for n in range(65, 129):
+        factors = factor_mersenne(n, bound=128)
         product = 1
         for p, e in factors.items():
             assert is_prime(p) and e == mersenne_valuation(p, n), (n, p, e)
@@ -126,6 +126,11 @@ def test_primitive_parts_beyond_the_digests():
     assert factor_mersenne(79, bound=100) == {2687: 1, 202029703: 1, 1113491139767: 1}
     assert factor_mersenne(83, bound=100) == {167: 1, 57912614113275649087721: 1}
     assert factor_mersenne(97, bound=100) == {11447: 1, 13842607235828485645766393: 1}
+    # primitive parts with two large primes, split by rho on y**(2n) + c
+    assert factor_mersenne(101, bound=128) == {7432339208719: 1, 341117531003194129: 1}
+    assert factor_mersenne(125, bound=128) == {
+        31: 1, 601: 1, 1801: 1, 269089806001: 1, 4710883168879506001: 1,
+    }
 
 
 def test_factor_mersenne_bound():

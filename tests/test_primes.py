@@ -1,4 +1,5 @@
 import random
+from itertools import count
 
 import pytest
 
@@ -57,6 +58,30 @@ def test_factorize_reassembles_random():
             assert is_prime(p)
             product *= p**e
         assert product == n
+
+
+def _prime_one_mod(rng, k, lo, hi):
+    while True:
+        p = k * rng.randint(lo // k, hi // k) + 1
+        if is_prime(p):
+            return p
+
+
+def test_factorize_hint_changes_no_answer():
+    # semiprimes whose factors are 1 mod k, beyond trial division, so rho
+    # splits them; the hint steers rho and nothing else, even when it lies
+    rng = random.Random(SEED)
+    for _ in range(20):
+        k = 2 * rng.randint(1, 100)
+        p = _prime_one_mod(rng, k, 10**4, 10**7)
+        q = _prime_one_mod(rng, k, 10**4, 10**7)
+        expected = {p: 2} if p == q else dict(sorted({p: 1, q: 1}.items()))
+        assert factorize(p * q) == expected
+        assert factorize(p * q, one_mod=k) == expected
+        wrong = next(m for m in count(k + 1) if (p - 1) % m)
+        assert factorize(p * q, one_mod=wrong) == expected
+    with pytest.raises(ValueError):
+        factorize(15, one_mod=0)
 
 
 def test_valuation():
