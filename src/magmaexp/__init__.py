@@ -4,6 +4,8 @@ free unital magma on one generator.
 Everything is integer or rational arithmetic; no floating point anywhere.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import BoundExceededError, InvariantError
 from .exponential import (
     a_coefficient,
@@ -13,8 +15,6 @@ from .exponential import (
     coefficient_rows,
     exp_series,
     trees_with_a_hat_one,
-    verify_comb_characterization,
-    verify_split_sums,
 )
 from .mersenne import (
     digit_sum,
@@ -29,7 +29,6 @@ from .omega import (
     omega,
     omega_factorization,
     omega_valuation,
-    verify_omega_recursion,
 )
 from .orders import (
     DEFAULT_FACTOR_BOUND,
@@ -67,76 +66,19 @@ from .trees import (
 from .verify import (
     CheckResult,
     run_verification,
+    verify_comb_characterization,
     verify_derivative,
     verify_functional_equation,
+    verify_omega_recursion,
+    verify_split_sums,
     verify_sums,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundExceededError",
-    "CheckResult",
-    "ClassicalSeries",
-    "DEFAULT_FACTOR_BOUND",
-    "DEFAULT_TREE_BUDGET",
-    "FACTOR_BOUND_ENV",
-    "InvariantError",
-    "MagmaTree",
-    "OrderRecord",
-    "ParseError",
-    "TreeSeries",
-    "UNIT",
-    "WIEFERICH_SEARCH_CAP",
-    "X",
-    "a_coefficient",
-    "a_hat",
-    "a_hat_product",
-    "a_hat_recursion_check",
-    "canonical_rank",
-    "canonical_sort_key",
-    "catalan",
-    "coefficient_rows",
-    "comb_trees",
-    "convolution_term",
-    "decompose",
-    "digit_sum",
-    "divisors",
-    "enumerate_trees",
-    "exp_series",
-    "factor_bound",
-    "factor_mersenne",
-    "factorial_valuation",
-    "factorize",
-    "gaussian_binomial_at_2",
-    "generator",
-    "graft",
-    "inner_nodes",
-    "is_prime",
-    "mersenne",
-    "mersenne_binomial",
-    "mersenne_factorial",
-    "mersenne_order",
-    "mersenne_valuation",
-    "omega",
-    "omega_factorization",
-    "omega_valuation",
-    "one",
-    "order_record",
-    "parse",
-    "pi_m",
-    "primes_up_to",
-    "render",
-    "run_verification",
-    "trees_with_a_hat_one",
-    "valuation",
-    "verify_comb_characterization",
-    "verify_derivative",
-    "verify_functional_equation",
-    "verify_omega_recursion",
-    "verify_split_sums",
-    "verify_sums",
-    "wieferich_exponent",
-    "wieferich_search",
-    "zero",
-]
+# every public name imported above, once: no module object and no private name
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -9,8 +9,8 @@ The series exp = sum a(t) t satisfies exp * exp = exp(2x) and exp' = exp,
 and is the unique such series with constant term 1 and a(x) = 1.  Scaling by
 2**(n-1) * (n-1)!_M turns a(t) into a positive integer a_hat(t), which also
 equals a product of Mersenne binomials over the inner nodes of t; both
-routes are implemented and checked against each other.  The trees with
-a_hat(t) = 1 are exactly the comb trees.
+routes are implemented here, and `verify` checks them against each other.
+The trees with a_hat(t) = 1 are exactly the comb trees.
 """
 
 from __future__ import annotations
@@ -21,15 +21,12 @@ from math import prod
 
 from .errors import InvariantError
 from .mersenne import mersenne_binomial, mersenne_factorial
-from .omega import convolution_term, omega
 from .series import TreeSeries
 from .trees import (
     UNIT,
     MagmaTree,
-    comb_trees,
     decompose,
     enumerate_trees,
-    graft,
     inner_nodes,
     render,
 )
@@ -125,32 +122,6 @@ def a_hat_recursion_check(t: MagmaTree) -> bool:
 def trees_with_a_hat_one(n: int) -> list[MagmaTree]:
     """All degree-n trees whose normalized coefficient is 1, canonical order."""
     return [t for t in enumerate_trees(n) if a_hat(t) == 1]
-
-
-def verify_comb_characterization(n: int) -> bool:
-    """a_hat(t) = 1 exactly on the comb trees at degree n."""
-    return trees_with_a_hat_one(n) == comb_trees(n)
-
-
-def verify_split_sums(n: int) -> bool:
-    """Grouped coefficient sums over splits match the binomial convolution.
-
-    For each k, summing a_hat(t1 * t2) over deg t1 = k, deg t2 = n - k gives
-    convolution_term(n, k); summing over k rebuilds omega(n).
-    """
-    if n < 2:
-        raise ValueError(f"split sums need n >= 2, got {n}")
-    total = 0
-    for k in range(1, n):
-        grouped = sum(
-            a_hat(graft(t1, t2))
-            for t1 in enumerate_trees(k)
-            for t2 in enumerate_trees(n - k)
-        )
-        if grouped != convolution_term(n, k):
-            return False
-        total += grouped
-    return total == omega(n)
 
 
 def coefficient_rows(degree: int) -> list[tuple[str, int, int, int, int]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvariantError
-from .primes import is_prime, primes_up_to
+from .primes import is_prime
 
 
 def mersenne(n: int) -> int:
@@ -44,21 +44,6 @@ def mersenne_factorial(n: int) -> int:
     return _product([(1 << i) - 1 for i in range(1, n + 1)])
 
 
-def _cyclotomic_parts(d: int, primes: list[int]) -> tuple[int, int]:
-    """Möbius numerator and denominator of Phi_d(2); primes are d's primes.
-
-    Phi_d(2) is the product of (2**(d/s) - 1)**mu(s) over the squarefree
-    divisors s of d: the s with an even number of primes go on top.
-    """
-    parts = [1, 1]
-    exponents = [(d, 0)]  # (d / s, parity of the prime count of s)
-    for p in primes:
-        exponents += [(e // p, odd ^ 1) for e, odd in exponents]
-    for e, odd in exponents:
-        parts[odd] *= (1 << e) - 1
-    return parts[0], parts[1]
-
-
 @lru_cache(maxsize=256)
 def mersenne_binomial(n: int, r: int) -> int:
     """Mersenne binomial coefficient, as a product of cyclotomic values.
@@ -66,23 +51,25 @@ def mersenne_binomial(n: int, r: int) -> int:
     n!_M is the product of Phi_d(2)**(n // d) over d >= 1, so the quotient
     n!_M / (r!_M * (n-r)!_M) is the product of the Phi_d(2) with
     n // d - r // d - (n - r) // d = 1 (that difference is 0 or 1).  Each
-    Phi_d(2) is one exact division; a remainder would mean the cyclotomic
-    factorization failed, which is a bug, so it raises InvariantError.
+    Phi_d(2) is one exact division of 2**d - 1 by the Phi_e(2) of its proper
+    divisors e; a remainder would mean the cyclotomic factorization failed,
+    which is a bug, so it raises InvariantError.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
-    primes_of: list[list[int]] = [[] for _ in range(n + 1)]
-    for p in primes_up_to(n):
-        for d in range(p, n + 1, p):
-            primes_of[d].append(p)
+    if r in (0, n):
+        return 1  # no d carries; every inner node of a comb asks for this
+    below = [1] * (n + 1)  # below[d]: product of Phi_e(2) over the e < d dividing d
     factors = []
-    for d in range(2, n + 1):
+    for d in range(2, n + 1):  # Phi_1(2) = 1 is already in every below[d]
+        value, remainder = divmod(mersenne(d), below[d])
+        if remainder:
+            raise InvariantError(
+                f"mersenne_binomial({n}, {r}): Phi_{d}(2) is not an integer"
+            )
+        for multiple in range(2 * d, n + 1, d):
+            below[multiple] *= value
         if n // d - r // d - (n - r) // d:
-            value, remainder = divmod(*_cyclotomic_parts(d, primes_of[d]))
-            if remainder:
-                raise InvariantError(
-                    f"mersenne_binomial({n}, {r}): Phi_{d}(2) is not an integer"
-                )
             factors.append(value)
     return _product(factors)
 

@@ -102,10 +102,3 @@ def convolution_term(n: int, k: int) -> int:
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     return mersenne_binomial(n - 2, k - 1) * omega(k) * omega(n - k)
-
-
-def verify_omega_recursion(n: int) -> bool:
-    """True when the convolution over k = 1..n-1 reproduces omega(n) exactly."""
-    if n < 2:
-        raise ValueError(f"the recursion starts at n = 2, got {n}")
-    return sum(convolution_term(n, k) for k in range(1, n)) == omega(n)

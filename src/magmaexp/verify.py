@@ -1,10 +1,11 @@
 """The identity checks: one function per identity, bundled for `magmaexp verify`.
 
-Each check takes the exponential series truncated at a degree budget and
-returns None when its identity holds up to that degree, or the first
-counterexample rendered as text.  `run_verification` builds the series once
-per call and hands it to every check; the checks that do not read its
-coefficients read only its truncation.  The boolean `verify_*` helpers and
+Every identity is computed here and nowhere else.  A check returns None when
+its identity holds, or the first counterexample rendered as text.  The two
+series checks take the exponential series truncated at a degree budget; the
+others take one degree, and `_each_degree` runs them up to the budget.  The
+coefficient-sums row also checks the split sums, binomial-product the combs.
+`run_verification` builds the series once per call.  The boolean helpers and
 `run_verification` run the same checks through one runner, `_run`.  All
 checks are exact; there are no tolerances anywhere.  A broken invariant
 inside a check (an InvariantError, such as a non-integer a_hat) fails that
@@ -15,13 +16,20 @@ runs the other checks, and a boolean helper returns False.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import InvariantError
-from .exponential import a_hat, a_hat_product, a_hat_recursion_check, exp_series
-from .omega import omega, omega_factorization, verify_omega_recursion
+from .exponential import (
+    a_hat,
+    a_hat_product,
+    a_hat_recursion_check,
+    exp_series,
+    trees_with_a_hat_one,
+)
+from .omega import convolution_term, omega, omega_factorization
 from .orders import factor_bound, factor_mersenne
 from .series import TreeSeries
-from .trees import enumerate_trees, render
+from .trees import comb_trees, enumerate_trees, render
 
 
 @dataclass
@@ -49,49 +57,64 @@ def _derivative(e: TreeSeries) -> str | None:
     return _first_difference(e.derivative().truncate(below), e.truncate(below))
 
 
+def _each_degree(first: int, check):
+    """The series check that runs check at each degree from first up to the
+    truncation and returns the first counterexample, or None."""
+
+    def over_degrees(e: TreeSeries) -> str | None:
+        for n in range(first, e.truncation + 1):
+            counterexample = check(n)
+            if counterexample is not None:
+                return counterexample
+        return None
+
+    return over_degrees
+
+
 def _sums_at(n: int) -> str | None:
     # a_hat(t) and omega(n) are a(t) and 1/n! times 2**(n-1) * (n-1)!_M, so
     # this integer sum also proves sum a(t) = 1/n!
-    integral = sum(a_hat(t) for t in enumerate_trees(n))
+    trees = enumerate_trees(n)
+    integral = sum(map(a_hat, trees))
     if integral != omega(n):
         return f"sum of a_hat at degree {n} is {integral}"
+    if n == 1:
+        return None
+    # split by the root's left degree k, the sum is the k-th convolution term;
+    # canonical order keeps the trees of one k next to each other
+    for k, split in groupby(trees, key=lambda t: t.left.degree):
+        grouped = sum(map(a_hat, split))
+        if grouped != convolution_term(n, k):
+            return f"sum of a_hat at degree {n} with left degree {k} is {grouped}"
     return None
 
 
-def _coefficient_sums(e: TreeSeries) -> str | None:
-    for n in range(1, e.truncation + 1):
-        counterexample = _sums_at(n)
-        if counterexample is not None:
-            return counterexample
+def _products_at(n: int) -> str | None:
+    # both routes to a_hat agree, and a_hat(t) = 1 exactly on the combs
+    for t in enumerate_trees(n):
+        if a_hat(t) != a_hat_product(t):
+            return f"{render(t)}: recursion gives {a_hat(t)}, product {a_hat_product(t)}"
+    if trees_with_a_hat_one(n) != comb_trees(n):
+        return f"a_hat is 1 off the comb trees at degree {n}"
     return None
 
 
-def _binomial_product(e: TreeSeries) -> str | None:
-    for n in range(1, e.truncation + 1):
-        for t in enumerate_trees(n):
-            if a_hat(t) != a_hat_product(t):
-                return f"{render(t)}: recursion gives {a_hat(t)}, product {a_hat_product(t)}"
+def _recursion_at(n: int) -> str | None:
+    for t in enumerate_trees(n):
+        if not a_hat_recursion_check(t):
+            return f"recursion step fails at {render(t)}"
     return None
 
 
-def _binomial_recursion(e: TreeSeries) -> str | None:
-    for n in range(2, e.truncation + 1):
-        for t in enumerate_trees(n):
-            if not a_hat_recursion_check(t):
-                return f"recursion step fails at {render(t)}"
+def _convolution_at(n: int) -> str | None:
+    if sum(convolution_term(n, k) for k in range(1, n)) != omega(n):
+        return f"convolution misses omega({n})"
     return None
 
 
-def _omega_recursion(e: TreeSeries) -> str | None:
-    for n in range(2, e.truncation + 1):
-        if not verify_omega_recursion(n):
-            return f"convolution misses omega({n})"
-    return None
-
-
-def _factorizations(e: TreeSeries) -> str | None:
+def _factorizations_at(n: int) -> str | None:
     # both factorizations check their own reassembly and raise on a mismatch
-    for n in range(1, min(e.truncation, factor_bound()) + 1):
+    if n <= factor_bound():
         factor_mersenne(n)
         omega_factorization(n)
     return None
@@ -109,11 +132,11 @@ def _run(check, arg) -> str | None:
 _CHECKS = (
     ("functional-equation", 0, _functional_equation),
     ("derivative", 1, _derivative),
-    ("coefficient-sums", 0, _coefficient_sums),
-    ("binomial-product", 0, _binomial_product),
-    ("binomial-recursion", 0, _binomial_recursion),
-    ("omega-recursion", 0, _omega_recursion),
-    ("factorizations", 0, _factorizations),
+    ("coefficient-sums", 0, _each_degree(1, _sums_at)),
+    ("binomial-product", 0, _each_degree(1, _products_at)),
+    ("binomial-recursion", 0, _each_degree(2, _recursion_at)),
+    ("omega-recursion", 0, _each_degree(2, _convolution_at)),
+    ("factorizations", 0, _each_degree(1, _factorizations_at)),
 )
 
 
@@ -151,3 +174,26 @@ def verify_sums(n: int) -> bool:
     if n < 1:
         raise ValueError(f"coefficient sums start at degree 1, got {n}")
     return _run(_sums_at, n) is None
+
+
+def verify_split_sums(n: int) -> bool:
+    """Grouped coefficient sums over splits match the binomial convolution.
+
+    For each k, summing a_hat(t1 * t2) over deg t1 = k, deg t2 = n - k gives
+    convolution_term(n, k); summing over k rebuilds omega(n).
+    """
+    if n < 2:
+        raise ValueError(f"split sums need n >= 2, got {n}")
+    return _run(_sums_at, n) is None
+
+
+def verify_comb_characterization(n: int) -> bool:
+    """a_hat(t) = 1 exactly on the comb trees at degree n (and a_hat = a_hat_product)."""
+    return _run(_products_at, n) is None
+
+
+def verify_omega_recursion(n: int) -> bool:
+    """True when the convolution over k = 1..n-1 reproduces omega(n) exactly."""
+    if n < 2:
+        raise ValueError(f"the recursion starts at n = 2, got {n}")
+    return _run(_convolution_at, n) is None

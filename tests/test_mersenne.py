@@ -127,15 +127,14 @@ def test_cyclotomic_binomial_is_the_factorial_quotient_at_scale():
 
 
 def test_a_remainder_in_a_cyclotomic_value_names_the_binomial(monkeypatch):
-    # Phi_d(2) is odd, so doubling its Möbius denominator leaves a remainder
+    # 2**4 - 1 plus one leaves a remainder modulo Phi_1(2) * Phi_2(2) = 3
     module = importlib.import_module("magmaexp.mersenne")
-    parts = module._cyclotomic_parts
+    original = module.mersenne
 
-    def doubled_bottom(d, primes):
-        top, bottom = parts(d, primes)
-        return top, 2 * bottom
+    def off_at_four(d):
+        return original(d) + (d == 4)
 
-    monkeypatch.setattr(module, "_cyclotomic_parts", doubled_bottom)
+    monkeypatch.setattr(module, "mersenne", off_at_four)
     mersenne_binomial.cache_clear()
     try:
         with pytest.raises(InvariantError, match=r"mersenne_binomial\(12, 5\)"):

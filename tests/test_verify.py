@@ -1,16 +1,24 @@
 import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
+import magmaexp
 import magmaexp.verify as verify
 from magmaexp import (
     CheckResult,
     TreeSeries,
+    comb_trees,
+    convolution_term,
     exp_series,
     omega,
     parse,
     run_verification,
+    verify_comb_characterization,
     verify_derivative,
     verify_functional_equation,
+    verify_omega_recursion,
+    verify_split_sums,
     verify_sums,
 )
 
@@ -95,8 +103,54 @@ def test_boolean_helpers_return_false_on_a_broken_invariant(double_denominator):
     double_denominator(parse("((x*x)*x)"))
     passed = {r.name: r.passed for r in run_verification(4)}
     assert verify_sums(3) is False
+    assert verify_split_sums(3) is False
+    assert verify_comb_characterization(3) is False
+    assert verify_omega_recursion(3) is True  # the convolution reads no a_hat
     assert verify_functional_equation(4) is False
     assert verify_derivative(3) is False
     assert verify_functional_equation(4) == passed["functional-equation"]
     assert verify_derivative(3) == passed["derivative"]
     assert all(verify_sums(n) for n in range(1, 5)) == passed["coefficient-sums"]
+
+
+def test_a_wrong_convolution_term_fails_the_split_sums(monkeypatch):
+    def off_at_two(n, k):
+        return convolution_term(n, k) + (k == 2)
+
+    monkeypatch.setattr(verify, "convolution_term", off_at_two)
+    results = {r.name: r for r in run_verification(4)}
+    assert results["coefficient-sums"] == CheckResult(
+        "coefficient-sums", False, "sum of a_hat at degree 3 with left degree 2 is 1"
+    )
+    assert verify_split_sums(3) is False
+    assert verify_split_sums(2) is True
+
+
+def test_a_missing_comb_fails_the_binomial_products(monkeypatch):
+    def one_short_at_four(n):
+        combs = comb_trees(n)
+        return combs[1:] if n == 4 else combs
+
+    monkeypatch.setattr(verify, "comb_trees", one_short_at_four)
+    results = {r.name: r for r in run_verification(5)}
+    assert results["binomial-product"] == CheckResult(
+        "binomial-product", False, "a_hat is 1 off the comb trees at degree 4"
+    )
+    assert verify_comb_characterization(3) is True
+    assert verify_comb_characterization(4) is False
+
+
+def test_only_verify_defines_identity_checks():
+    for info in pkgutil.iter_modules(magmaexp.__path__):
+        if info.name == "__main__":
+            continue
+        name = f"magmaexp.{info.name}"
+        module = importlib.import_module(name)
+        defined = [
+            attr
+            for attr, value in vars(module).items()
+            if attr.startswith("verify_")
+            and inspect.isfunction(value)
+            and value.__module__ == name
+        ]
+        assert defined == [] or info.name == "verify", (name, defined)
