@@ -87,7 +87,7 @@ def a_hat(t: MagmaTree) -> int:
 @lru_cache(maxsize=64)
 def _a_hat_scale(n: int) -> int:
     """The normalization 2**(n-1) * (n-1)!_M that turns a(t) into a_hat(t)."""
-    return (1 << (n - 1)) * mersenne_factorial(n - 1)
+    return mersenne_factorial(n - 1) << (n - 1)
 
 
 def a_hat_product(t: MagmaTree) -> int:

@@ -38,10 +38,17 @@ def _product(values: list[int]) -> int:
 
 
 def mersenne_factorial(n: int) -> int:
-    """Product of the first n Mersenne numbers; 1 for n = 0."""
+    """Product of the first n Mersenne numbers; 1 for n = 0.
+
+    Each factor is a shift and a subtraction, x * (2**i - 1) = (x << i) - x,
+    two linear passes where a big multiplication would cost more.
+    """
     if n < 0:
         raise ValueError(f"mersenne_factorial needs n >= 0, got {n}")
-    return _product([(1 << i) - 1 for i in range(1, n + 1)])
+    x = 1
+    for i in range(1, n + 1):
+        x = (x << i) - x
+    return x
 
 
 @lru_cache(maxsize=256)
@@ -53,23 +60,32 @@ def mersenne_binomial(n: int, r: int) -> int:
     n // d - r // d - (n - r) // d = 1 (that difference is 0 or 1).  Each
     Phi_d(2) is one exact division of 2**d - 1 by the Phi_e(2) of its proper
     divisors e; a remainder would mean the cyclotomic factorization failed,
-    which is a bug, so it raises InvariantError.
+    which is a bug, so it raises InvariantError.  Only the d that carry and
+    their divisors are sieved.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
     if r in (0, n):
         return 1  # no d carries; every inner node of a comb asks for this
+    carries = [False] * (n + 1)
+    need = [False] * (n + 1)  # need[d]: d carries or divides a d that carries
+    for d in range(n, 1, -1):
+        carries[d] = n // d - r // d - (n - r) // d == 1
+        need[d] = carries[d] or any(need[2 * d :: d])
     below = [1] * (n + 1)  # below[d]: product of Phi_e(2) over the e < d dividing d
     factors = []
     for d in range(2, n + 1):  # Phi_1(2) = 1 is already in every below[d]
+        if not need[d]:
+            continue
         value, remainder = divmod(mersenne(d), below[d])
         if remainder:
             raise InvariantError(
                 f"mersenne_binomial({n}, {r}): Phi_{d}(2) is not an integer"
             )
         for multiple in range(2 * d, n + 1, d):
-            below[multiple] *= value
-        if n // d - r // d - (n - r) // d:
+            if need[multiple]:
+                below[multiple] *= value
+        if carries[d]:
             factors.append(value)
     return _product(factors)
 

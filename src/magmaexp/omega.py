@@ -20,26 +20,32 @@ from .primes import is_prime
 
 
 def omega(n: int) -> int:
-    """The factorial Mersenne quotient 2**(n-1) * (n-1)!_M / n!, exactly."""
+    """The factorial Mersenne quotient 2**(n-1) * (n-1)!_M / n!, exactly.
+
+    n! is 2**(n - popcount(n)) times an odd part, and (n-1)!_M is odd, so
+    omega(n) is (n-1)!_M over the odd part of n!, shifted by popcount(n) - 1;
+    the division is exact exactly when the full quotient is.
+    """
     if n < 1:
         raise ValueError(f"omega is defined for n >= 1, got {n}")
-    numerator = (1 << (n - 1)) * mersenne_factorial(n - 1)
-    quotient, remainder = divmod(numerator, factorial(n))
+    ones = n.bit_count()
+    quotient, remainder = divmod(mersenne_factorial(n - 1), factorial(n) >> (n - ones))
     if remainder:
         raise InvariantError(f"omega({n}) is not an integer")
-    return quotient
+    return quotient << (ones - 1)
 
 
 def _omega_values(n_max: int) -> Iterator[int]:
     """omega(1), ..., omega(n_max), each from the one before.
 
     omega(n) = omega(n - 1) * 2 * (2**(n-1) - 1) / n, one checked division
-    per step, so a table costs no factorial per row.
+    per step, so a table costs no factorial per row; the product by
+    2**(n-1) - 1 is a shift and a subtraction.
     """
     value = 1
     for n in range(1, n_max + 1):
         if n > 1:
-            value, remainder = divmod(value * 2 * ((1 << (n - 1)) - 1), n)
+            value, remainder = divmod(((value << (n - 1)) - value) << 1, n)
             if remainder:
                 raise InvariantError(f"omega({n}) is not an integer")
         yield value

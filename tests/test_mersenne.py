@@ -63,11 +63,17 @@ def test_mersenne_factorial_against_product_oracle():
     assert mersenne_factorial(0) == 1
     assert mersenne_factorial(3) == 21
     assert mersenne_factorial(5) == 9765
-    # n = 300 splits the balanced product several times over
-    for n in [*range(81), 300]:
+    # n = 2000 runs the shift-and-subtract loop to a 2,000,999-bit product
+    for n in [*range(81), 300, 1000, 2000]:
         assert mersenne_factorial(n) == factorial_product_oracle(n)
     with pytest.raises(ValueError):
         mersenne_factorial(-1)
+
+
+def test_a_hat_scale_is_the_shifted_factorial():
+    exponential = importlib.import_module("magmaexp.exponential")
+    for n in range(1, 65):
+        assert exponential._a_hat_scale(n) == 2 ** (n - 1) * mersenne_factorial(n - 1)
 
 
 def test_mersenne_binomial_values():
@@ -124,6 +130,26 @@ def test_cyclotomic_binomial_is_the_factorial_quotient_at_scale():
         r = n // 2 - 1
         value = mersenne_binomial(n, r)
         assert value * mersenne_factorial(r) * mersenne_factorial(n - r) == mersenne_factorial(n)
+
+
+def factorial_quotient(n, r):
+    # n!_M / (r!_M * (n-r)!_M) with (n-r)!_M cancelled, checked exact
+    s = min(r, n - r)
+    top = 1
+    for i in range(n - s + 1, n + 1):
+        top *= 2**i - 1
+    value, remainder = divmod(top, factorial_product_oracle(s))
+    assert remainder == 0
+    return value
+
+
+def test_binomial_near_the_edges_is_the_factorial_quotient():
+    # few d carry here, so only their divisors are sieved
+    for n in range(401):
+        for r in {1, 2, 3, n - 2, n - 1}:
+            if 0 <= r <= n:
+                assert mersenne_binomial(n, r) == factorial_quotient(n, r)
+    assert mersenne_binomial(4000, 3) == factorial_quotient(4000, 3)
 
 
 def test_a_remainder_in_a_cyclotomic_value_names_the_binomial(monkeypatch):

@@ -38,8 +38,13 @@ def test_omega_golden_values():
 
 
 def test_omega_against_quotient_oracle():
-    for n in range(1, 61):
+    for n in [*range(1, 61), 1500]:
         assert omega(n) == quotient_oracle(n)
+
+
+def test_omega_two_adic_valuation_is_popcount_minus_one():
+    for n in range(1, 301):
+        assert trial_valuation(omega(n), 2) == bin(n).count("1") - 1
 
 
 def test_omega_is_a_positive_integer_far_out():
@@ -107,5 +112,5 @@ def test_omega_recursion_holds():
 
 def test_omega_values_match_omega():
     omega_module = importlib.import_module("magmaexp.omega")
-    assert list(omega_module._omega_values(300)) == [omega(n) for n in range(1, 301)]
+    assert list(omega_module._omega_values(600)) == [omega(n) for n in range(1, 601)]
     assert list(omega_module._omega_values(0)) == []
