@@ -25,6 +25,7 @@ from .series import TreeSeries
 from .trees import (
     UNIT,
     MagmaTree,
+    _render_each,
     decompose,
     enumerate_trees,
     inner_nodes,
@@ -131,8 +132,9 @@ def coefficient_rows(degree: int) -> list[tuple[str, int, int, int, int]]:
     """
     if degree < 1:
         raise ValueError(f"coefficient tables start at degree 1, got {degree}")
+    trees = enumerate_trees(degree)
     rows = []
-    for t in enumerate_trees(degree):
+    for t, text in zip(trees, _render_each(trees)):
         a = a_coefficient(t)
-        rows.append((render(t), t.degree, a.numerator, a.denominator, a_hat(t)))
+        rows.append((text, t.degree, a.numerator, a.denominator, a_hat(t)))
     return rows

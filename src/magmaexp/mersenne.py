@@ -131,6 +131,11 @@ def factorial_valuation(n: int, p: int) -> int:
         raise ValueError(f"factorial_valuation needs n >= 0, got {n}")
     if not is_prime(p):
         raise ValueError(f"factorial_valuation needs a prime p, got {p}")
+    return _factorial_valuation(n, p)
+
+
+def _factorial_valuation(n: int, p: int) -> int:
+    """factorial_valuation for n >= 0 and a p that already passed is_prime."""
     floor_sum = 0
     q = p
     while q <= n:

@@ -14,7 +14,12 @@ from math import factorial
 from typing import Iterator
 
 from .errors import InvariantError
-from .mersenne import digit_sum, factorial_valuation, mersenne_binomial, mersenne_factorial
+from .mersenne import (
+    _factorial_valuation,
+    digit_sum,
+    mersenne_binomial,
+    mersenne_factorial,
+)
 from .orders import order_record, pi_m
 from .primes import is_prime
 
@@ -63,12 +68,17 @@ def omega_valuation(n: int, p: int) -> int:
         raise ValueError(f"omega is defined for n >= 1, got {n}")
     if not is_prime(p):
         raise ValueError(f"omega_valuation needs a prime p, got {p}")
+    return _omega_valuation(n, p)
+
+
+def _omega_valuation(n: int, p: int) -> int:
+    """omega_valuation for n >= 1 and a p that already passed is_prime."""
     if p == 2:
         return digit_sum(n, 2) - 1
     record = order_record(p)
     m = (n - 1) // record.order
     value = record.wieferich_exponent * m - (
-        factorial_valuation(n, p) - factorial_valuation(m, p)
+        _factorial_valuation(n, p) - _factorial_valuation(m, p)
     )
     if value < 0:
         raise InvariantError(f"omega_valuation({n}, {p}) came out negative: {value}")
@@ -85,12 +95,13 @@ def omega_factorization(n: int, bound: int | None = None) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"omega is defined for n >= 1, got {n}")
     factors: dict[int, int] = {}
-    e2 = omega_valuation(n, 2)
+    e2 = _omega_valuation(n, 2)
     if e2:
         factors[2] = e2
+    # pi_m's primes passed is_prime when their Mersenne numbers were factored
     support = [] if n == 1 else pi_m(n, bound=bound)[1]
     for p in support:
-        e = omega_valuation(n, p)
+        e = _omega_valuation(n, p)
         if e:
             factors[p] = e
     product = 1

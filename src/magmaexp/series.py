@@ -22,7 +22,10 @@ over an explicit stack, so deep trees never reach the recursion limit.
 
 The text format puts the truncation in a header line and one
 "tree<TAB>numerator/denominator" row per term, sorted by degree and then
-canonical order, so serialized output is byte deterministic.
+canonical order, so serialized output is byte deterministic.  Each call
+handles each distinct subtree once: to_text renders the terms through one
+memo of subtree texts, and from_text grafts a line that reads "(" A "*" B ")"
+from the trees of earlier lines with texts A and B, instead of parsing it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .trees import (
     MagmaTree,
     ParseError,
     _bottom_up,
+    _render_each,
     canonical_sort_key,
     graft,
     parse,
@@ -277,10 +281,11 @@ class TreeSeries:
 
     def to_text(self) -> str:
         lines = [f"truncation\t{self.truncation}"]
+        support = self.support()
         try:
-            for t in self.support():
+            for t, tree_text in zip(support, _render_each(support)):
                 p, q = self._coeffs[t]
-                lines.append(f"{render(t)}\t{p}/{q}")
+                lines.append(f"{tree_text}\t{p}/{q}")
         except ValueError as exc:  # past the int-to-str digit limit
             raise ValueError(
                 f"cannot write the coefficient of {render(t)}: {exc}"
@@ -293,18 +298,25 @@ class TreeSeries:
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("missing header line")
-        head = lines[0].split("\t")
+        # read by pops from the end of the reversed list, so each line is
+        # freed once read
+        lines.reverse()
+        header = lines.pop()
+        head = header.split("\t")
         if len(head) != 2 or head[0] != "truncation":
-            raise ValueError(f"bad header line {lines[0]!r}")
+            raise ValueError(f"bad header line {header!r}")
         try:
             truncation = int(head[1])
         except ValueError as exc:
-            raise ValueError(f"bad header line {lines[0]!r}: {exc}") from None
+            raise ValueError(f"bad header line {header!r}: {exc}") from None
         if truncation < 0:
-            raise ValueError(f"negative truncation in header line {lines[0]!r}")
+            raise ValueError(f"negative truncation in header line {header!r}")
         terms: dict[MagmaTree, _Pair] = {}
         zeros: list[MagmaTree] = []
-        for line in lines[1:]:
+        # the tree text of each line a later line can graft: degree < truncation
+        halves: dict[str, MagmaTree] = {}
+        while lines:
+            line = lines.pop()
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ValueError(f"bad term line {line!r}")
@@ -314,7 +326,7 @@ class TreeSeries:
                     f"coefficient is not numerator/denominator in term line {line!r}"
                 )
             try:
-                t = parse(fields[0])
+                t = _graft_of_halves(fields[0], halves) or parse(fields[0])
             except ParseError as exc:
                 raise ValueError(f"bad tree in term line {line!r}: {exc}") from exc
             if t.degree > truncation:
@@ -324,6 +336,8 @@ class TreeSeries:
                 )
             if t in terms:
                 raise ValueError(f"repeated tree in term line {line!r}")
+            if t.degree < truncation:
+                halves[fields[0]] = t
             try:
                 p, q = int(num), int(den)
             except ValueError as exc:  # not an integer, or past the digit limit
@@ -347,6 +361,40 @@ class TreeSeries:
             shown.append("...")
         body = " + ".join(shown) if shown else "0"
         return f"TreeSeries(N={self.truncation}, {body})"
+
+
+def _graft_of_halves(text: str, halves: dict[str, MagmaTree]) -> MagmaTree | None:
+    """parse(text) when text is "(" A "*" B ")" with A and B keys of halves.
+
+    None otherwise, and then parse reads text.  Text with n x's and nothing
+    but the 3(n - 1) brackets and stars of their products has length 4n - 3;
+    any unit or whitespace makes it longer.  Only text of that length is
+    split: at its one "*" at bracket depth 1, which follows a left half of
+    degree k at 4k - 2.  The grammar is unambiguous, so when both halves are
+    tree texts their graft is the tree that parse builds.
+    """
+    n = text.count("x")
+    if len(text) != 4 * n - 3 or text[0] != "(" or text[-1] != ")":
+        return None
+    if text[1] == "x":
+        star = 2
+    elif text[-2] == "x":
+        star = len(text) - 3
+    else:  # the left half is a product, closed by the first ")" that balances
+        depth, star = 1, 2
+        while depth:
+            end = text.find(")*", star) + 1
+            if not end:
+                return None
+            depth += text.count("(", star, end) - text.count(")", star, end)
+            star = end
+    if text[star] != "*":
+        return None
+    left = halves.get(text[1:star])
+    if left is None:
+        return None
+    right = halves.get(text[star + 1 : -1])
+    return None if right is None else graft(left, right)
 
 
 # a stored coefficient p/q: q > 0, gcd(p, q) == 1 and p != 0

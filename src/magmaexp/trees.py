@@ -21,12 +21,14 @@ canonical_rank gives a tree's position without enumerating anything.
 Wire format: t ::= "1" | "x" | "(" t "*" t ")", whitespace insignificant.
 render always emits the fully parenthesized canonical form; parse accepts
 any grammar-conforming string and normalizes units away per the unit law.
+Within one call, render builds the text of each distinct shallow subtree
+once, and _render_each shares those texts across a whole list of trees.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import BoundExceededError
 
@@ -238,6 +240,30 @@ _SHALLOW_DEGREE = 16
 
 def render(t: MagmaTree) -> str:
     """Fully parenthesized canonical string for t."""
+    return _render(t, {UNIT: "1", X: "x"}, t.degree)
+
+
+def _render_each(trees: list[MagmaTree]) -> Iterator[str]:
+    """render(t) for each of trees, in order, through one memo of subtree texts.
+
+    A subtree that a later tree can contain (one below the largest degree in
+    trees) is rendered once, and its text is then spliced into every tree
+    that holds it.  The memo lives only as long as the iteration.
+    """
+    below = max((t.degree for t in trees), default=0)
+    memo = {UNIT: "1", X: "x"}
+    for t in trees:
+        yield _render(t, memo, below)
+
+
+def _render(t: MagmaTree, memo: dict[MagmaTree, str], below: int) -> str:
+    """render(t), keeping in memo the texts of its subtrees below degree `below`.
+
+    Only subtrees below _SHALLOW_DEGREE are kept, so a stored text is under
+    61 characters and a deep comb cannot fill the memo quadratically.
+    """
+    if t.degree < _SHALLOW_DEGREE:
+        return _render_shallow(t, memo, below)
     parts = []
     # right factors still to render, each above a None that stands for its ")"
     pending: list[MagmaTree | None] = []
@@ -247,7 +273,7 @@ def render(t: MagmaTree) -> str:
             parts.append("(")
             pending += (None, s.right)
             s = s.left
-        parts.append(_render_shallow(s))
+        parts.append(_render_shallow(s, memo, below))
         while True:
             if not pending:
                 return "".join(parts)
@@ -258,10 +284,14 @@ def render(t: MagmaTree) -> str:
         parts.append("*")
 
 
-def _render_shallow(t: MagmaTree) -> str:
-    if t.left is None:
-        return "1" if t.degree == 0 else "x"
-    return f"({_render_shallow(t.left)}*{_render_shallow(t.right)})"
+def _render_shallow(t: MagmaTree, memo: dict[MagmaTree, str], below: int) -> str:
+    text = memo.get(t)
+    if text is None:
+        left = _render_shallow(t.left, memo, below)
+        text = f"({left}*{_render_shallow(t.right, memo, below)})"
+        if t.degree < below:
+            memo[t] = text
+    return text
 
 
 def parse(text: str) -> MagmaTree:

@@ -1,22 +1,28 @@
-"""The one-pass parse against the shift-reduce parser it replaced, and a
-seeded fuzz of TreeSeries.from_text.
+"""The one-pass parse against the shift-reduce parser it replaced, the
+subtree-sharing series codec against per-term oracles, and a seeded fuzz of
+TreeSeries.from_text.
 
 reference_parse below is the earlier parse, kept verbatim as the oracle: on
 every input both must give the same tree object, or the same ParseError text
-and position.
+and position.  reference_to_text renders and sorts each term on its own, the
+way to_text did before it shared subtree texts between terms.
 """
 
 import random
 import re
+import tracemalloc
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from conftest import SEED
+from conftest import SEED, random_series
 from magmaexp import (
     UNIT,
     X,
     ParseError,
     TreeSeries,
+    canonical_sort_key,
     enumerate_trees,
     exp_series,
     graft,
@@ -202,3 +208,139 @@ def test_from_text_drops_zero_coefficients_but_not_their_repeats():
     assert TreeSeries.from_text("truncation\t2\nx\t0/5\n").is_zero()
     with pytest.raises(ValueError, match="repeated tree"):
         TreeSeries.from_text("truncation\t2\nx\t0/1\nx\t1/1\n")
+
+
+# -- the subtree-sharing codec -------------------------------------------------
+
+
+def reference_render(t):
+    out = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            out.append(s)
+        elif s.left is None:
+            out.append("1" if s.degree == 0 else "x")
+        else:
+            stack += (")", s.right, "*", s.left, "(")
+    return "".join(out)
+
+
+def reference_to_text(series):
+    lines = [f"truncation\t{series.truncation}"]
+    for t, c in sorted(series.terms(), key=lambda term: canonical_sort_key(term[0])):
+        lines.append(f"{reference_render(t)}\t{c.numerator}/{c.denominator}")
+    return "\n".join(lines) + "\n"
+
+
+def _comb(n):
+    return reduce(graft, [X] * n)
+
+
+def _balanced(n):
+    return X if n == 1 else graft(_balanced(n // 2), _balanced(n - n // 2))
+
+
+def _codec_inputs():
+    for n in range(10):
+        yield exp_series(n)
+    rng = random.Random(SEED)
+    for truncation in (0, 1, 5, 8, 9):
+        yield random_series(rng, truncation, density=0.3)
+    comb, balanced = _comb(1501), _balanced(1024)
+    shared = [comb.left.left, comb.left.left.left, balanced.left, graft(balanced, X)]
+    yield TreeSeries(1501, {comb: 3, balanced: -1, X: 2, UNIT: 1})
+    yield TreeSeries(1501, {t: i + 1 for i, t in enumerate(shared + [comb, balanced])})
+
+
+def test_to_text_matches_the_per_term_oracle():
+    for series in _codec_inputs():
+        text = series.to_text()
+        assert text == reference_to_text(series)
+        assert TreeSeries.from_text(text) == series
+
+
+def _line_outcome(prefix, line):
+    """from_text of one tree line after the lines of prefix: its tree or error text."""
+    body = "".join(f"{render(t)}\t1/1\n" for t in prefix) + f"{line}\t2/1\n"
+    try:
+        series = TreeSeries.from_text(f"truncation\t9\n{body}")
+    except ValueError as exc:
+        return str(exc)
+    (t,) = set(series.support()) - set(prefix)
+    return t
+
+
+def _parse_outcome(prefix, line):
+    """What parse makes of the same line, worded as from_text words it."""
+    term_line = f"{line}\t2/1"
+    try:
+        t = parse(line)
+    except ParseError as exc:
+        return f"bad tree in term line {term_line!r}: {exc}"
+    return f"repeated tree in term line {term_line!r}" if t in prefix else t
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["*x*x*", "x(*x)", ")x*x(", "(x)(x*x))", "(x*)x*x()", "((x*x)(*x*x))", "((x*x)*x(*x))"],
+)
+def test_canonical_length_non_terms_keep_the_parse_error(line):
+    assert len(line) == 4 * line.count("x") - 3
+    with pytest.raises(ParseError) as err:
+        parse(line)
+    term_line = f"{line}\t1/1"
+    message = f"bad tree in term line {term_line!r}: {err.value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TreeSeries.from_text(f"truncation\t5\nx\t1/1\n(x*x)\t1/1\n{term_line}\n")
+
+
+def test_lines_of_canonical_length_match_parse():
+    # every tree of degree <= 4 precedes the line, so any split can be looked up
+    prefix = [t for n in range(1, 5) for t in enumerate_trees(n)]
+    rng = random.Random(SEED)
+    for _ in range(3000):
+        n = rng.randint(2, 5)
+        line = "(" + "".join(rng.choice("(*)x") for _ in range(4 * n - 5)) + ")"
+        if line.count("x") == n:
+            assert _line_outcome(prefix, line) == _parse_outcome(prefix, line), line
+    for t in enumerate_trees(5):
+        assert _line_outcome(prefix, render(t)) is t
+
+
+def test_lines_with_later_halves_units_or_spaces_match_parse():
+    lines = [
+        "((x*x)*(x*(x*x)))",
+        "(x*(x*x))",
+        "((1*x)*((x*x)*x))",
+        "(x * (x*(x*x)))",
+        "(x*x)",
+        " ((x*x)*x) ",
+        "(((x*x)*x)*(x*1))",
+    ]
+    text = "truncation\t6\n" + "".join(f"{line}\t{i + 1}/7\n" for i, line in enumerate(lines))
+    want = TreeSeries(6, {parse(line): Fraction(i + 1, 7) for i, line in enumerate(lines)})
+    assert len(want.support()) == len(lines)
+    assert TreeSeries.from_text(text) == want
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("(x*x)", "(x*(1*x))"), ("( x*x)", "(x*x)"), ("((x*x)*x)", "(((x*1)*x)*x)")],
+)
+def test_a_tree_spelled_two_ways_is_repeated(first, second):
+    with pytest.raises(ValueError, match="repeated tree"):
+        TreeSeries.from_text(f"truncation\t4\nx\t1/1\n{first}\t1/2\n{second}\t1/3\n")
+
+
+def test_to_text_of_a_deep_comb_stays_linear_in_memory():
+    series = TreeSeries(3000, {_comb(3000): 1})
+    size = len(series.to_text())
+    tracemalloc.start()
+    try:
+        series.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * size
