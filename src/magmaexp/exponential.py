@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 
 from .errors import InvariantError
-from .mersenne import mersenne_binomial, mersenne_factorial
-from .series import TreeSeries
+from .mersenne import _product, mersenne_binomial, mersenne_factorial
+from .series import TreeSeries, _truncation
 from .trees import (
     UNIT,
     MagmaTree,
@@ -49,17 +48,14 @@ def a_coefficient(t: MagmaTree) -> Fraction:
         return Fraction(1)
     if t.degree > _RECURSION_DEGREE:
         factors = [(1 << s.degree) - 2 for s, _ in inner_nodes(t)]
-        while len(factors) > 1:  # multiply neighbours pairwise, a balanced product
-            factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
-        return Fraction(1, factors[0])
+        return Fraction(1, _product(factors))
     denominator = a_coefficient(t.left).denominator * a_coefficient(t.right).denominator
     return Fraction(1, denominator * ((1 << t.degree) - 2))
 
 
 def exp_series(truncation: int) -> TreeSeries:
     """The exponential series with all tree coefficients up to the truncation."""
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    truncation = _truncation(truncation)
     # the top degree first: an over-budget truncation is refused before any tree is built
     enumerate_trees(max(truncation, 1))
     coeffs: dict[MagmaTree, tuple[int, int]] = {UNIT: (1, 1)}

@@ -16,6 +16,7 @@ from typing import Iterator
 from .errors import InvariantError
 from .mersenne import (
     _factorial_valuation,
+    _product,
     digit_sum,
     mersenne_binomial,
     mersenne_factorial,
@@ -104,10 +105,7 @@ def omega_factorization(n: int, bound: int | None = None) -> dict[int, int]:
         e = _omega_valuation(n, p)
         if e:
             factors[p] = e
-    product = 1
-    for p, e in factors.items():
-        product *= p**e
-    if product != omega(n):
+    if _product([p**e for p, e in factors.items()]) != omega(n):
         raise InvariantError(f"omega({n}) factorization does not reassemble")
     return dict(sorted(factors.items()))
 

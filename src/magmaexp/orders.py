@@ -108,13 +108,18 @@ def factor_mersenne(n: int, bound: int | None = None) -> dict[int, int]:
     """
     if n < 1:
         raise ValueError(f"mersenne numbers are indexed from 1, got n={n}")
+    _check_factor_bound(n, bound)
+    return dict(_factor_mersenne(n))
+
+
+def _check_factor_bound(n: int, bound: int | None) -> None:
+    """Refuse to factor 2**n - 1 past bound, or past factor_bound() if None."""
     limit = factor_bound() if bound is None else bound
     if n > limit:
         raise BoundExceededError(
-            f"factoring bound exceeded: n={n} > {limit}; "
+            f"factoring bound exceeded: exponent {n} > {limit}; "
             f"raise the bound explicitly or via {FACTOR_BOUND_ENV}"
         )
-    return dict(_factor_mersenne(n))
 
 
 @lru_cache(maxsize=None)
@@ -152,11 +157,7 @@ def pi_m(x: int, bound: int | None = None) -> tuple[int, list[int]]:
     """
     if x < 2:
         raise ValueError(f"pi_m needs x >= 2, got {x}")
-    limit = factor_bound() if bound is None else bound
-    if x - 1 > limit:
-        raise BoundExceededError(
-            f"factoring bound exceeded: pi_m({x}) needs exponents up to {x - 1} > {limit}"
-        )
+    _check_factor_bound(x - 1, bound)
     support: set[int] = set()
     for i in range(1, x):
         support.update(p for p, _ in _factor_mersenne(i))
@@ -164,7 +165,7 @@ def pi_m(x: int, bound: int | None = None) -> tuple[int, list[int]]:
     return len(primes), primes
 
 
-def wieferich_search(limit: int, cap: int = WIEFERICH_SEARCH_CAP) -> list[int]:
+def wieferich_search(limit: int) -> list[int]:
     """Odd primes p <= limit whose Wieferich exponent is at least 2.
 
     Uses the classical criterion 2**(p-1) == 1 (mod p**2), which is
@@ -173,6 +174,8 @@ def wieferich_search(limit: int, cap: int = WIEFERICH_SEARCH_CAP) -> list[int]:
     """
     if limit < 0:
         raise ValueError(f"wieferich_search needs limit >= 0, got {limit}")
-    if limit > cap:
-        raise BoundExceededError(f"search limit {limit} exceeds the cap {cap}")
+    if limit > WIEFERICH_SEARCH_CAP:
+        raise BoundExceededError(
+            f"search limit {limit} exceeds the cap {WIEFERICH_SEARCH_CAP}"
+        )
     return [p for p in primes_up_to(limit) if p != 2 and pow(2, p - 1, p * p) == 1]

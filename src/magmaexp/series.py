@@ -220,7 +220,7 @@ class TreeSeries:
         """Leibniz derivative: d(1) = 0, d(x) = 1, d(t1*t2) = d(t1)*t2 + t1*d(t2)."""
         acc: _Sums = {}
         for t, (p, q) in self._coeffs.items():
-            for s, multiplicity in _monomial_derivative(t):
+            for s, multiplicity in _bottom_up(t, _derivatives, _leibniz):
                 _add(acc, s, p * multiplicity, q)
         return TreeSeries._raw(self.truncation, _normalized(acc))
 
@@ -449,11 +449,6 @@ def _leibniz(t: MagmaTree) -> tuple[tuple[MagmaTree, int], ...]:
         key = graft(t.left, s)
         acc[key] = acc.get(key, 0) + m
     return tuple(acc.items())
-
-
-def _monomial_derivative(t: MagmaTree) -> tuple[tuple[MagmaTree, int], ...]:
-    """d(t) as (tree, multiplicity) pairs; one term per leaf of t."""
-    return _bottom_up(t, _derivatives, _leibniz)
 
 
 def zero(truncation: int) -> TreeSeries:

@@ -114,20 +114,21 @@ def decompose(t: MagmaTree) -> tuple[MagmaTree, MagmaTree]:
 _trees_by_degree: dict[int, tuple[MagmaTree, ...]] = {1: (X,)}
 
 
-def enumerate_trees(n: int, max_trees: int | None = None) -> list[MagmaTree]:
+def enumerate_trees(n: int) -> list[MagmaTree]:
     """All trees of degree n in canonical order (Catalan(n-1) of them).
 
-    Refuses degrees whose tree count exceeds the budget (default
-    DEFAULT_TREE_BUDGET) instead of exhausting memory.
+    Refuses a degree with more than DEFAULT_TREE_BUDGET trees at once, since
+    the count stops at the budget, instead of exhausting memory.
     """
     if n < 1:
         raise ValueError(f"enumerate_trees needs n >= 1, got {n}")
-    budget = DEFAULT_TREE_BUDGET if max_trees is None else max_trees
-    count = catalan(n - 1)
-    if count > budget:
-        raise BoundExceededError(
-            f"degree {n} has {count} trees, over the budget of {budget}"
-        )
+    count = 1  # catalan(i) after step i; the Catalan numbers never decrease
+    for i in range(1, n):
+        count = count * (4 * i - 2) // (i + 1)
+        if count > DEFAULT_TREE_BUDGET:
+            raise BoundExceededError(
+                f"degree {n} has more than {DEFAULT_TREE_BUDGET} trees"
+            )
     # no lock: threads that build a degree at once build the same nodes
     for d in range(2, n + 1):
         if d not in _trees_by_degree:
@@ -180,11 +181,8 @@ def comb_trees(n: int) -> list[MagmaTree]:
     """
     if n < 1:
         raise ValueError(f"comb_trees needs n >= 1, got {n}")
-    level = [X]
-    for d in range(2, n + 1):
-        if d == 2:
-            level = [MagmaTree(X, X)]
-            continue
+    level = [X] if n == 1 else [MagmaTree(X, X)]
+    for _ in range(3, n + 1):
         level = [MagmaTree(X, t) for t in level] + [MagmaTree(t, X) for t in level]
     return level
 

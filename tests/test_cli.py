@@ -176,9 +176,10 @@ def test_output_is_deterministic(capsys):
 
 
 def test_verify_over_the_tree_budget_exits_3_at_once(capsys):
-    code, out, err = run(capsys, "verify", "--degree", "20")
-    assert code == 3 and out == ""
-    assert err.startswith("error: degree 20 has ")
+    for degree in ("20", "1000000"):
+        code, out, err = run(capsys, "verify", "--degree", degree)
+        assert code == 3 and out == ""
+        assert err == f"error: degree {degree} has more than 1000000 trees\n"
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -86,6 +86,21 @@ def test_exp_series_refuses_an_over_budget_truncation_before_building(monkeypatc
     with pytest.raises(BoundExceededError, match="degree 15"):
         exp_series(15)
     assert 14 not in _trees_by_degree
+    # the tree count stops at the budget, so a huge degree is refused at once
+    with pytest.raises(BoundExceededError, match="^degree 1000000 has more than "):
+        exp_series(10**6)
+
+
+def test_exp_series_takes_its_truncation_like_tree_series():
+    text = exp_series(True).to_text()
+    assert text.startswith("truncation\t1\n")
+    assert TreeSeries.from_text(text) == exp_series(1)
+    with pytest.raises(TypeError):
+        TreeSeries(2.5)
+    with pytest.raises(TypeError):
+        exp_series(2.0)
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        exp_series(-1)
 
 
 def test_a_hat_values():
@@ -218,6 +233,8 @@ def test_coefficient_rows():
     assert all(r[1] == 4 for r in rows)
     with pytest.raises(ValueError):
         coefficient_rows(0)
+    with pytest.raises(BoundExceededError, match="^degree 100000 has more than "):
+        coefficient_rows(10**5)
 
 
 def test_graft_consistency_of_exponential():

@@ -174,6 +174,15 @@ def test_pi_m_monotone_and_bounded():
         pi_m(100)
 
 
+def test_factor_bound_errors_name_the_exponent_and_the_variable(monkeypatch):
+    monkeypatch.delenv(FACTOR_BOUND_ENV, raising=False)
+    message = "^factoring bound exceeded: exponent 99 > 64; .* MAGMAEXP_FACTOR_BOUND$"
+    with pytest.raises(BoundExceededError, match=message):
+        pi_m(100)
+    with pytest.raises(BoundExceededError, match=message):
+        factor_mersenne(99)
+
+
 def test_wieferich_search():
     assert wieferich_search(3) == []
     assert wieferich_search(1000) == []

@@ -234,12 +234,18 @@ def test_enumeration_has_no_duplicates():
         assert all(t.degree == n for t in trees)
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
     with pytest.raises(BoundExceededError):
         enumerate_trees(40)
-    with pytest.raises(BoundExceededError):
-        enumerate_trees(5, max_trees=13)
-    assert len(enumerate_trees(5, max_trees=14)) == 14
+    # catalan(10**5 - 1) has about 60,000 digits; the count stops at the budget
+    with pytest.raises(BoundExceededError, match="^degree 100000 has more than "):
+        enumerate_trees(10**5)
+    # degree 5 has catalan(4) = 14 trees
+    monkeypatch.setattr(magmaexp.trees, "DEFAULT_TREE_BUDGET", 13)
+    with pytest.raises(BoundExceededError, match="^degree 5 has more than 13 trees$"):
+        enumerate_trees(5)
+    monkeypatch.setattr(magmaexp.trees, "DEFAULT_TREE_BUDGET", 14)
+    assert len(enumerate_trees(5)) == 14
     with pytest.raises(ValueError):
         enumerate_trees(0)
 
