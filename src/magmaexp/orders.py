@@ -13,7 +13,10 @@ Mersenne numbers are cross-checked against this law factor by factor.
 
 from __future__ import annotations
 
+import operator
 import os
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -165,17 +168,37 @@ def pi_m(x: int, bound: int | None = None) -> tuple[int, list[int]]:
     return len(primes), primes
 
 
+# (limit, hits) of the widest Wieferich search so far.  Rebound whole, never
+# mutated, so a reader sees one consistent pair; the lock only keeps two
+# publishers from replacing a wider record with a narrower one.
+_wieferich_record: tuple[int, tuple[int, ...]] = (0, ())
+_wieferich_publish = threading.Lock()
+
+
 def wieferich_search(limit: int) -> list[int]:
     """Odd primes p <= limit whose Wieferich exponent is at least 2.
 
     Uses the classical criterion 2**(p-1) == 1 (mod p**2), which is
     equivalent: the order of 2 modulo p**2 is either order(p) or
-    p * order(p), and only the former divides p - 1.
+    p * order(p), and only the former divides p - 1.  A limit within the
+    widest search so far is answered from its hits; a wider one tests only
+    the primes beyond it.
     """
+    global _wieferich_record
+    limit = operator.index(limit)
     if limit < 0:
         raise ValueError(f"wieferich_search needs limit >= 0, got {limit}")
     if limit > WIEFERICH_SEARCH_CAP:
         raise BoundExceededError(
             f"search limit {limit} exceeds the cap {WIEFERICH_SEARCH_CAP}"
         )
-    return [p for p in primes_up_to(limit) if p != 2 and pow(2, p - 1, p * p) == 1]
+    searched, hits = _wieferich_record
+    if limit <= searched:
+        return [p for p in hits if p <= limit]
+    primes = primes_up_to(limit)  # 2 fails the criterion: 2**1 % 4 == 2
+    start = bisect_right(primes, searched)
+    hits += tuple(p for p in primes[start:] if pow(2, p - 1, p * p) == 1)
+    with _wieferich_publish:
+        if limit > _wieferich_record[0]:
+            _wieferich_record = (limit, hits)
+    return list(hits)

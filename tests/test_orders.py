@@ -1,3 +1,7 @@
+import importlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from magmaexp import (
@@ -14,7 +18,9 @@ from magmaexp import (
     wieferich_exponent,
     wieferich_search,
 )
-from magmaexp.orders import FACTOR_BOUND_ENV, factor_bound
+from magmaexp.orders import FACTOR_BOUND_ENV, WIEFERICH_SEARCH_CAP, factor_bound
+
+orders = importlib.import_module("magmaexp.orders")
 
 
 def trial_factorization(m):
@@ -183,6 +189,16 @@ def test_factor_bound_errors_name_the_exponent_and_the_variable(monkeypatch):
         factor_mersenne(99)
 
 
+@pytest.fixture
+def fresh_wieferich_record(monkeypatch):
+    """Start from an empty search record whatever ran before."""
+    monkeypatch.setattr(orders, "_wieferich_record", (0, ()))
+
+
+def wieferich_by_definition(limit):
+    return [p for p in primes_up_to(limit) if p != 2 and wieferich_exponent(p) >= 2]
+
+
 def test_wieferich_search():
     assert wieferich_search(3) == []
     assert wieferich_search(1000) == []
@@ -194,7 +210,83 @@ def test_wieferich_search():
 
 
 def test_wieferich_search_agrees_with_exponent_definition():
-    by_definition = [
-        p for p in primes_up_to(5000) if p != 2 and wieferich_exponent(p) >= 2
-    ]
-    assert wieferich_search(5000) == by_definition
+    assert wieferich_search(5000) == wieferich_by_definition(5000)
+
+
+def test_wieferich_search_widening_and_narrowing(fresh_wieferich_record):
+    for limit in (5000, 0, 1, 2, 1092, 1093, 3510, 3511, 1000, 8000):
+        assert wieferich_search(limit) == wieferich_by_definition(limit), limit
+    assert orders._wieferich_record == (8000, (1093, 3511))
+
+
+def test_wieferich_search_within_the_record_does_not_sieve(
+    fresh_wieferich_record, monkeypatch
+):
+    assert wieferich_search(8000) == [1093, 3511]
+    monkeypatch.setattr(orders, "primes_up_to", lambda limit: pytest.fail("sieved"))
+    assert wieferich_search(8000) == [1093, 3511]
+    assert wieferich_search(3510) == [1093]
+
+
+def test_wieferich_search_answers_are_private(fresh_wieferich_record):
+    first = wieferich_search(4000)
+    first.append(5)
+    first.remove(1093)
+    again = wieferich_search(4000)
+    assert again == [1093, 3511]
+    again.clear()
+    assert wieferich_search(3600) == [1093, 3511]
+    assert wieferich_search(5000) == [1093, 3511]
+
+
+@pytest.mark.parametrize("limit", [4000.0, 5.5, "4000", None])
+def test_wieferich_search_refuses_non_integers(fresh_wieferich_record, limit):
+    with pytest.raises(TypeError):
+        wieferich_search(limit)
+    assert wieferich_search(10**4) == [1093, 3511]
+    with pytest.raises(TypeError):
+        wieferich_search(limit)
+
+
+def test_wieferich_search_accepts_bool_as_int(fresh_wieferich_record):
+    assert wieferich_search(True) == []
+    assert wieferich_search(False) == []
+
+
+def test_wieferich_search_refusals_after_a_wide_search(fresh_wieferich_record):
+    assert wieferich_search(10**5) == [1093, 3511]
+    with pytest.raises(ValueError):
+        wieferich_search(-1)
+    with pytest.raises(BoundExceededError):
+        wieferich_search(WIEFERICH_SEARCH_CAP + 1)
+    assert orders._wieferich_record[0] == 10**5
+
+
+def test_wieferich_search_keeps_the_wider_record(
+    fresh_wieferich_record, monkeypatch
+):
+    def sieve_while_a_wider_search_publishes(limit):
+        if limit == 5000:
+            assert wieferich_search(8000) == [1093, 3511]
+        return primes_up_to(limit)
+
+    monkeypatch.setattr(orders, "primes_up_to", sieve_while_a_wider_search_publishes)
+    assert wieferich_search(5000) == [1093, 3511]
+    assert orders._wieferich_record == (8000, (1093, 3511))
+
+
+def test_wieferich_search_from_threads(fresh_wieferich_record):
+    limits = [30_000, 1092, 20_000, 3511, 50_000, 1093, 40_000, 3510, 10_000, 0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the searches
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(pool.map(wieferich_search, limits, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    widest = wieferich_by_definition(max(limits))
+    for limit, answer in zip(limits, answers):
+        assert answer == [p for p in widest if p <= limit], limit
+    # a narrower search finishing last must not replace the widest record
+    assert orders._wieferich_record == (50_000, (1093, 3511))
+    assert wieferich_search(3000) == [1093]
