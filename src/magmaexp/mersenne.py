@@ -13,6 +13,7 @@ recurrence so the two routes can check each other.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 from .errors import InvariantError
@@ -37,17 +38,43 @@ def _product(values: list[int]) -> int:
     return product
 
 
+# (k * _CHECKPOINT_STEP)!_M for k = 0, 1, ..., len - 1, up to n = _CHECKPOINT_TOP:
+# at most 33 ints and about 2.9 MB.  Rebound whole, never mutated, so a
+# reader sees one consistent table; the lock only keeps two publishers from
+# replacing a longer table with a shorter one.
+_CHECKPOINT_STEP = 64
+_CHECKPOINT_TOP = 2048
+_checkpoints: tuple[int, ...] = (1,)
+_checkpoints_publish = threading.Lock()
+
+
 def mersenne_factorial(n: int) -> int:
     """Product of the first n Mersenne numbers; 1 for n = 0.
 
     Each factor is a shift and a subtraction, x * (2**i - 1) = (x << i) - x,
-    two linear passes where a big multiplication would cost more.
+    two linear passes where a big multiplication would cost more.  The loop
+    resumes from the largest stored (k * 64)!_M <= n, and a call past the
+    stored ones stores those it passes, up to 2048!_M; past 2048 it resumes
+    from 2048!_M.  Below n = 64 it starts from 1, as with no table.
     """
+    global _checkpoints
     if n < 0:
         raise ValueError(f"mersenne_factorial needs n >= 0, got {n}")
-    x = 1
-    for i in range(1, n + 1):
-        x = (x << i) - x
+    table = _checkpoints  # the one read: every step below works from it
+    k = n // _CHECKPOINT_STEP
+    if k >= len(table):
+        k = len(table) - 1
+    x = table[k]
+    passed = ()
+    for start in range(k * _CHECKPOINT_STEP, n, _CHECKPOINT_STEP):
+        for i in range(start + 1, min(start + _CHECKPOINT_STEP, n) + 1):
+            x = (x << i) - x
+        if i % _CHECKPOINT_STEP == 0 and i <= _CHECKPOINT_TOP:
+            passed += (x,)  # (i)!_M, the next entry after table[-1]
+    if passed:
+        with _checkpoints_publish:
+            if len(table) + len(passed) > len(_checkpoints):
+                _checkpoints = table + passed
     return x
 
 
@@ -95,17 +122,18 @@ def gaussian_binomial_at_2(n: int, r: int) -> int:
 
     Deliberately shares no code with mersenne_binomial: the recurrence
     G(i, j) = G(i-1, j-1) + 2**j * G(i-1, j) builds the value from 1s only,
-    so the two functions act as mutual cross-checks.
+    so the two functions act as mutual cross-checks.  Only the band of
+    entries that reach (n, r) is walked, those with j <= r and
+    i - j <= n - r: r * (n - r) additions in place of a triangle of n**2 / 2,
+    and the entries left out are the largest ones.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
-    row = [1]
-    for i in range(1, n + 1):
-        prev = row
-        row = [1] * (i + 1)
-        for j in range(1, i):
-            row[j] = prev[j - 1] + (prev[j] << j)
-    return row[r]
+    band = [1] * (n - r + 1)  # band[m] = G(j + m, j), from j = 0 up to r
+    for j in range(1, r + 1):
+        for m in range(1, n - r + 1):
+            band[m] += band[m - 1] << j
+    return band[-1]
 
 
 def digit_sum(m: int, p: int) -> int:

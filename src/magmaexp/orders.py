@@ -16,13 +16,12 @@ from __future__ import annotations
 import operator
 import os
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
 from .errors import BoundExceededError, InvariantError
-from .primes import factorize, is_prime, primes_up_to, valuation
+from .primes import _primes_between, factorize, is_prime, valuation
 
 DEFAULT_FACTOR_BOUND = 64
 FACTOR_BOUND_ENV = "MAGMAEXP_FACTOR_BOUND"
@@ -181,8 +180,8 @@ def wieferich_search(limit: int) -> list[int]:
     Uses the classical criterion 2**(p-1) == 1 (mod p**2), which is
     equivalent: the order of 2 modulo p**2 is either order(p) or
     p * order(p), and only the former divides p - 1.  A limit within the
-    widest search so far is answered from its hits; a wider one tests only
-    the primes beyond it.
+    widest search so far is answered from its hits; a wider one sieves and
+    tests only the range beyond it.
     """
     global _wieferich_record
     limit = operator.index(limit)
@@ -195,9 +194,9 @@ def wieferich_search(limit: int) -> list[int]:
     searched, hits = _wieferich_record
     if limit <= searched:
         return [p for p in hits if p <= limit]
-    primes = primes_up_to(limit)  # 2 fails the criterion: 2**1 % 4 == 2
-    start = bisect_right(primes, searched)
-    hits += tuple(p for p in primes[start:] if pow(2, p - 1, p * p) == 1)
+    # only (searched, limit] is sieved; 2 fails the criterion: 2**1 % 4 == 2
+    primes = _primes_between(searched, limit)
+    hits += tuple(p for p in primes if pow(2, p - 1, p * p) == 1)
     with _wieferich_publish:
         if limit > _wieferich_record[0]:
             _wieferich_record = (limit, hits)

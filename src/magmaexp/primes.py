@@ -49,14 +49,25 @@ def is_prime(n: int) -> bool:
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending (sieve of Eratosthenes)."""
-    if limit < 2:
+    return _primes_between(0, limit)
+
+
+def _primes_between(low: int, limit: int) -> list[int]:
+    """The primes p with low < p <= limit, ascending.
+
+    A segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): only
+    (low, limit] is sieved, by the base primes up to isqrt(limit), which
+    come from the same sieve on (1, isqrt(limit)].  Memory is proportional
+    to limit - low.
+    """
+    low = max(low, 1)
+    if limit < low + 1:  # no integer in (low, limit]
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return list(compress(range(limit + 1), sieve))
+    segment = bytearray([1]) * (limit - low)  # segment[k] stands for low + 1 + k
+    for p in _primes_between(1, isqrt(limit)):
+        first = max(p * p, (low // p + 1) * p)  # least multiple > low to cross off
+        segment[first - low - 1 :: p] = bytearray(len(range(first, limit + 1, p)))
+    return list(compress(range(low + 1, limit + 1), segment))
 
 
 def _brent_rho(n: int, exponent: int) -> int:

@@ -1,6 +1,9 @@
 import importlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -16,11 +19,19 @@ from magmaexp import (
 )
 
 
+@cache
 def factorial_product_oracle(n):
-    out = 1
-    for i in range(1, n + 1):
-        out *= 2**i - 1
-    return out
+    # the product of 2**i - 1 over 1 <= i <= n, multiplied in balanced halves
+    def product(lo, hi):
+        if hi - lo <= 16:
+            out = 1
+            for i in range(lo, hi):
+                out *= 2**i - 1
+            return out
+        mid = (lo + hi) // 2
+        return product(lo, mid) * product(mid, hi)
+
+    return product(1, n + 1)
 
 
 def q_binomial_oracle(n, r):
@@ -70,6 +81,114 @@ def test_mersenne_factorial_against_product_oracle():
         mersenne_factorial(-1)
 
 
+mersenne_module = importlib.import_module("magmaexp.mersenne")
+CHECKPOINTS_STORED = mersenne_module._CHECKPOINT_TOP // mersenne_module._CHECKPOINT_STEP + 1
+PAST_THE_BOUND = (2049, 2176)
+
+
+@pytest.fixture
+def empty_checkpoints(monkeypatch):
+    """Start from a table holding only 0!_M whatever ran before."""
+    monkeypatch.setattr(mersenne_module, "_checkpoints", (1,))
+
+
+def assert_checkpoints_exact():
+    step = mersenne_module._CHECKPOINT_STEP
+    table = mersenne_module._checkpoints
+    assert 1 <= len(table) <= CHECKPOINTS_STORED
+    for k, value in enumerate(table):
+        assert value == factorial_product_oracle(k * step), k * step
+
+
+def checkpoint_arguments():
+    near = {k * 64 + d for k in range(6) for d in (-1, 0, 1)} - {-1}
+    return sorted({*range(301), *near, *PAST_THE_BOUND})
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_mersenne_factorial_checkpoints_in_any_order(empty_checkpoints, order):
+    ns = checkpoint_arguments()
+    if order == "descending":
+        ns.reverse()
+    elif order == "shuffled":
+        random.Random(SEED).shuffle(ns)
+    for n in ns:
+        assert mersenne_factorial(n) == factorial_product_oracle(n), n
+    assert_checkpoints_exact()
+
+
+def test_mersenne_factorial_table_stops_at_its_bound(empty_checkpoints):
+    assert CHECKPOINTS_STORED == 33
+    for n in PAST_THE_BOUND:
+        assert mersenne_factorial(n) == factorial_product_oracle(n)
+        assert len(mersenne_module._checkpoints) == CHECKPOINTS_STORED
+    assert_checkpoints_exact()
+
+
+def test_mersenne_factorial_below_the_first_checkpoint_stores_nothing(
+    empty_checkpoints,
+):
+    for n in range(64):
+        assert mersenne_factorial(n) == factorial_product_oracle(n)
+    assert mersenne_module._checkpoints == (1,)
+
+
+def test_mersenne_factorial_keeps_the_longer_table(empty_checkpoints, monkeypatch):
+    lock = mersenne_module._checkpoints_publish
+
+    class LongerTablePublishesFirst:
+        def __enter__(self):
+            monkeypatch.setattr(mersenne_module, "_checkpoints_publish", lock)
+            assert mersenne_factorial(1300) == factorial_product_oracle(1300)
+            return lock.__enter__()
+
+        def __exit__(self, *exc):
+            return lock.__exit__(*exc)
+
+    monkeypatch.setattr(mersenne_module, "_checkpoints_publish", LongerTablePublishesFirst())
+    assert mersenne_factorial(700) == factorial_product_oracle(700)
+    assert len(mersenne_module._checkpoints) == 1300 // 64 + 1
+    assert_checkpoints_exact()
+
+
+def test_mersenne_factorial_works_from_one_read_of_the_table(
+    empty_checkpoints, monkeypatch
+):
+    # the first len() of the table a call has read lets another call publish
+    # the whole table first; the call must still resume from what it read
+    class LongerTablePublishedAfterTheRead(tuple):
+        published = False
+
+        def __len__(self):
+            if not LongerTablePublishedAfterTheRead.published:
+                LongerTablePublishedAfterTheRead.published = True
+                assert mersenne_factorial(2176) == factorial_product_oracle(2176)
+            return super().__len__()
+
+    monkeypatch.setattr(
+        mersenne_module, "_checkpoints", LongerTablePublishedAfterTheRead((1,))
+    )
+    assert mersenne_factorial(700) == factorial_product_oracle(700)
+    assert LongerTablePublishedAfterTheRead.published
+    assert len(mersenne_module._checkpoints) == CHECKPOINTS_STORED
+    assert_checkpoints_exact()
+
+
+def test_mersenne_factorial_from_threads(empty_checkpoints):
+    ns = [1300, 64, 2176, 700, 129, 2049, 450, 1999, 63, 2048]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the loops
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(pool.map(mersenne_factorial, ns, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for n, answer in zip(ns, answers):
+        assert answer == factorial_product_oracle(n), n
+    assert len(mersenne_module._checkpoints) == CHECKPOINTS_STORED
+    assert_checkpoints_exact()
+
+
 def test_a_hat_scale_is_the_shifted_factorial():
     exponential = importlib.import_module("magmaexp.exponential")
     for n in range(1, 65):
@@ -116,8 +235,8 @@ def product_formula_row(n):
 
 
 def test_cyclotomic_binomial_against_both_routes_to_150():
-    # every r against the product formula; gaussian_binomial_at_2 costs n**2
-    # per call, so it is asked at the middle and at one seeded r per n
+    # every r against the product formula; gaussian_binomial_at_2 costs
+    # r * (n - r) per call, so it is asked at the middle and at one seeded r per n
     rng = random.Random(SEED)
     for n in range(151):
         assert [mersenne_binomial(n, r) for r in range(n + 1)] == product_formula_row(n)
@@ -167,6 +286,31 @@ def test_a_remainder_in_a_cyclotomic_value_names_the_binomial(monkeypatch):
             mersenne_binomial(12, 5)
     finally:
         mersenne_binomial.cache_clear()
+
+
+def gaussian_rows_oracle(n_max):
+    # rows 0..n_max of the whole Pascal triangle at q = 2
+    row = [1]
+    yield row
+    for i in range(1, n_max + 1):
+        prev = row
+        row = [1] * (i + 1)
+        for j in range(1, i):
+            row[j] = prev[j - 1] + (prev[j] << j)
+        yield row
+
+
+def test_gaussian_band_against_the_whole_triangle_to_60():
+    for n, row in enumerate(gaussian_rows_oracle(60)):
+        assert [gaussian_binomial_at_2(n, r) for r in range(n + 1)] == row
+
+
+def test_gaussian_band_against_the_whole_triangle_to_300():
+    rng = random.Random(SEED)
+    for n, row in enumerate(gaussian_rows_oracle(300)):
+        for r in {0, 1, n // 2, n - 1, n, rng.randint(0, n)}:
+            if 0 <= r <= n:
+                assert gaussian_binomial_at_2(n, r) == row[r], (n, r)
 
 
 def test_gaussian_binomial_values():

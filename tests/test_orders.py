@@ -223,7 +223,7 @@ def test_wieferich_search_within_the_record_does_not_sieve(
     fresh_wieferich_record, monkeypatch
 ):
     assert wieferich_search(8000) == [1093, 3511]
-    monkeypatch.setattr(orders, "primes_up_to", lambda limit: pytest.fail("sieved"))
+    monkeypatch.setattr(orders, "_primes_between", lambda low, limit: pytest.fail("sieved"))
     assert wieferich_search(8000) == [1093, 3511]
     assert wieferich_search(3510) == [1093]
 
@@ -265,14 +265,33 @@ def test_wieferich_search_refusals_after_a_wide_search(fresh_wieferich_record):
 def test_wieferich_search_keeps_the_wider_record(
     fresh_wieferich_record, monkeypatch
 ):
-    def sieve_while_a_wider_search_publishes(limit):
+    sieve = orders._primes_between
+
+    def sieve_while_a_wider_search_publishes(low, limit):
         if limit == 5000:
             assert wieferich_search(8000) == [1093, 3511]
-        return primes_up_to(limit)
+        return sieve(low, limit)
 
-    monkeypatch.setattr(orders, "primes_up_to", sieve_while_a_wider_search_publishes)
+    monkeypatch.setattr(orders, "_primes_between", sieve_while_a_wider_search_publishes)
     assert wieferich_search(5000) == [1093, 3511]
     assert orders._wieferich_record == (8000, (1093, 3511))
+
+
+def test_wieferich_search_extension_sieves_only_the_new_range(
+    fresh_wieferich_record, monkeypatch
+):
+    assert wieferich_search(999_000) == [1093, 3511]
+    sieve = orders._primes_between
+    sieved = []
+
+    def recording_sieve(low, limit):
+        sieved.append((low, limit))
+        return sieve(low, limit)
+
+    monkeypatch.setattr(orders, "_primes_between", recording_sieve)
+    assert wieferich_search(10**6) == [1093, 3511]
+    assert sieved == [(999_000, 10**6)]
+    assert orders._wieferich_record == (10**6, (1093, 3511))
 
 
 def test_wieferich_search_from_threads(fresh_wieferich_record):

@@ -1,9 +1,11 @@
 import random
 from itertools import count
+from math import isqrt
 
 import pytest
 
 from magmaexp import divisors, factorize, is_prime, primes_up_to, valuation
+from magmaexp.primes import _primes_between
 
 from conftest import SEED
 
@@ -38,6 +40,34 @@ def test_primes_up_to_counts():
     assert len(primes_up_to(10_000)) == 1229
     assert primes_up_to(10)[:4] == [2, 3, 5, 7]
     assert primes_up_to(1) == []
+    assert len(primes_up_to(10**6)) == 78498
+
+
+def trial_division_primes(limit):
+    return [n for n in range(2, limit + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+def test_primes_between_against_trial_division():
+    primes = trial_division_primes(3000)
+    rng = random.Random(SEED)
+    for low in range(-2, 151):
+        # limits at and below low, every limit within 60 of it, then a sweep
+        # to 3000 and the squares 961 = 31**2 and 1369 = 37**2
+        limits = {*range(low - 2, low + 61), *range(low + 61, 3001, 89), 961, 1369, 3000}
+        limits.add(rng.randint(low + 61, 3000))
+        for limit in limits:
+            want = [p for p in primes if low < p <= limit]
+            assert _primes_between(low, limit) == want, (low, limit)
+
+
+@pytest.mark.parametrize("square", [961, 1369])
+def test_primes_between_segments_at_a_base_square(square):
+    # the segment's first number is a base prime's square, or just past it
+    primes = trial_division_primes(3000)
+    for low in (square - 2, square - 1, square):
+        for limit in (square - 1, square, square + 1, square + 60, 3000):
+            want = [p for p in primes if low < p <= limit]
+            assert _primes_between(low, limit) == want, (low, limit)
 
 
 def test_factorize_known_values():
