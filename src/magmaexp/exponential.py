@@ -91,8 +91,10 @@ def a_hat_product(t: MagmaTree) -> int:
     """a_hat as the product of one Mersenne binomial per inner node.
 
     An inner node whose subtree has degree m and left degree k contributes
-    mersenne_binomial(m - 2, k - 1).  Independent of a_hat's recursion: one
-    walk over the inner nodes on an explicit stack, never a call per subtree.
+    mersenne_binomial(m - 2, k - 1), which is 1 when a factor is the leaf x
+    (k = 1 or k = m - 1), so only the other nodes multiply.  Independent of
+    a_hat's recursion: one walk over the inner nodes on an explicit stack,
+    never a call per subtree.
     """
     if t.degree < 1:
         raise ValueError("a_hat_product is defined for trees of degree >= 1")
@@ -101,7 +103,8 @@ def a_hat_product(t: MagmaTree) -> int:
     while stack:
         s = stack.pop()
         while s.left is not None:  # down the left spine, right factors to the stack
-            product *= mersenne_binomial(s.degree - 2, s.left.degree - 1)
+            if 1 < s.left.degree < s.degree - 1:
+                product *= mersenne_binomial(s.degree - 2, s.left.degree - 1)
             stack.append(s.right)
             s = s.left
     return product

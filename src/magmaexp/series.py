@@ -11,12 +11,15 @@ included.  Multiplication enumerates every factorization of the target tree,
 unit factors and all, and is therefore not associative in general, exactly
 like the underlying magma product.
 
-The product groups each operand's trees by degree once and visits only the
-degree pairs whose sum stays within the truncation, so no pair is built and
-then thrown away.  Products, derivatives and substitutions sum their
-contributions exactly in integers: one [numerator, denominator] pair per
-target tree, brought to a common denominator with math.lcm, and reduced by
-one math.gcd at the end; sums that cancel to zero are dropped.
+The product and the derivative put each degree of an operand over one
+denominator, the lcm of its distinct denominators, and add plain integers,
+reduced by one math.gcd per output term; sums that cancel to zero are
+dropped.  For exp that lcm is the comb's denominator prod(2**m - 2), and the
+integers are a_hat(t).  A block costs more as its lcm grows: random
+denominators up to 10**6 make numerators thousands of digits long.  The
+product visits only the degree pairs whose sum stays within the truncation.
+Sums and substitutions bring the contributions to each tree to a common
+denominator with math.lcm.
 Tree recursions (derivatives of monomials, images under substitution) run
 over an explicit stack, so deep trees never reach the recursion limit.
 
@@ -43,6 +46,7 @@ from .trees import (
     MagmaTree,
     ParseError,
     _bottom_up,
+    _nodes,
     _render_each,
     canonical_sort_key,
     graft,
@@ -197,19 +201,35 @@ class TreeSeries:
             return NotImplemented
         self._require_same_truncation(other)
         n = self.truncation
-        a, b = self._coeffs, other._coeffs
-        right = _by_degree(b)
-        acc: _Sums = {}
-        for d1, trees1 in _by_degree(a).items():
-            for d2, trees2 in right.items():
-                if d1 + d2 > n:
-                    continue
-                for t1 in trees1:
-                    p1, q1 = a[t1]
-                    for t2 in trees2:
-                        p2, q2 = b[t2]
-                        _add(acc, graft(t1, t2), p1 * p2, q1 * q2)
-        return TreeSeries._raw(n, _normalized(acc))
+        left = _blocks(self._coeffs)
+        right = left if other is self else _blocks(other._coeffs)
+        pairs = [(d1, d2) for d1 in left for d2 in right if d1 + d2 <= n]
+        # one denominator per output degree: the lcm of L1 * L2 over its pairs
+        dens: dict[int, int] = {}
+        for d1, d2 in pairs:
+            m = d1 + d2
+            dens[m] = math.lcm(dens.get(m, 1), left[d1][0] * right[d2][0])
+        # nonunit pairs first: each is the one factorization of its tree, so
+        # it sets that tree's value, and a pair with a unit factor adds to it
+        pairs.sort(key=lambda pair: 0 in pair)
+        acc: dict[MagmaTree, int] = {}
+        for d1, d2 in pairs:
+            (l1, terms1), (l2, terms2) = left[d1], right[d2]
+            scale = dens[d1 + d2] // (l1 * l2)
+            if d1 and d2:
+                for t1, p1 in terms1:
+                    p1 *= scale
+                    for t2, p2 in terms2:
+                        acc[_nodes.get((t1, t2)) or MagmaTree(t1, t2)] = p1 * p2
+                continue
+            # the unit's block is its one term (UNIT, p)
+            terms, ((_, unit),) = (terms2, terms1) if d1 == 0 else (terms1, terms2)
+            unit *= scale
+            for t, p in terms:
+                acc[t] = acc.get(t, 0) + unit * p
+        return TreeSeries._raw(
+            n, {t: _reduced(p, dens[t.degree]) for t, p in acc.items() if p}
+        )
 
     def __rmul__(self, other: Scalar) -> "TreeSeries":
         if isinstance(other, (int, Fraction)):
@@ -218,11 +238,15 @@ class TreeSeries:
 
     def derivative(self) -> "TreeSeries":
         """Leibniz derivative: d(1) = 0, d(x) = 1, d(t1*t2) = d(t1)*t2 + t1*d(t2)."""
-        acc: _Sums = {}
-        for t, (p, q) in self._coeffs.items():
-            for s, multiplicity in _bottom_up(t, _derivatives, _leibniz):
-                _add(acc, s, p * multiplicity, q)
-        return TreeSeries._raw(self.truncation, _normalized(acc))
+        out: dict[MagmaTree, _Pair] = {}
+        # a term of degree d - 1 comes only from degree d: one block, one denominator
+        for denominator, terms in _blocks(self._coeffs).values():
+            acc: dict[MagmaTree, int] = {}
+            for t, p in terms:
+                for s, multiplicity in _bottom_up(t, _derivatives, _leibniz):
+                    acc[s] = acc.get(s, 0) + p * multiplicity
+            out.update((s, _reduced(p, denominator)) for s, p in acc.items() if p)
+        return TreeSeries._raw(self.truncation, out)
 
     def substitute(self, g: "TreeSeries") -> "TreeSeries":
         """The algebra homomorphism sending x to g, applied to this series.
@@ -427,11 +451,21 @@ def _normalized(acc: _Sums) -> dict[MagmaTree, _Pair]:
     return {t: _reduced(p, q) for t, (p, q) in acc.items() if p}
 
 
-def _by_degree(coeffs: Mapping[MagmaTree, _Pair]) -> dict[int, list[MagmaTree]]:
-    buckets: dict[int, list[MagmaTree]] = {}
-    for t in coeffs:
-        buckets.setdefault(t.degree, []).append(t)
-    return buckets
+def _blocks(coeffs: Mapping[MagmaTree, _Pair]) -> dict[int, tuple[int, list]]:
+    """Each degree's terms over one denominator: {d: (L, [(t, p * L // q), ...])}.
+
+    L is the lcm of the distinct denominators of degree d.
+    """
+    by_degree: dict[int, list[tuple[MagmaTree, _Pair]]] = {}
+    for t, pair in coeffs.items():
+        by_degree.setdefault(t.degree, []).append((t, pair))
+    blocks = {}
+    for d, terms in by_degree.items():
+        denominators = {q for _, (_, q) in terms}
+        common = math.lcm(*denominators)
+        factors = {q: common // q for q in denominators}
+        blocks[d] = (common, [(t, p * factors[q]) for t, (p, q) in terms])
+    return blocks
 
 
 _derivatives: dict[MagmaTree, tuple[tuple[MagmaTree, int], ...]] = {

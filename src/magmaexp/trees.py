@@ -27,7 +27,7 @@ once, and _render_each shares those texts across a whole list of trees.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, inf
 from typing import Callable, Iterator
 
 from .errors import BoundExceededError
@@ -40,6 +40,16 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError(f"catalan needs n >= 0, got {n}")
     return comb(2 * n, n) // (n + 1)
+
+
+def _catalans(n: int, bound: float = inf) -> list[int]:
+    """[catalan(0), ..., catalan(n - 1)], cut after the first value above bound."""
+    cat = [1]
+    for i in range(1, n):
+        cat.append(cat[-1] * (4 * i - 2) // (i + 1))
+        if cat[-1] > bound:
+            break
+    return cat
 
 
 class MagmaTree:
@@ -122,13 +132,11 @@ def enumerate_trees(n: int) -> list[MagmaTree]:
     """
     if n < 1:
         raise ValueError(f"enumerate_trees needs n >= 1, got {n}")
-    count = 1  # catalan(i) after step i; the Catalan numbers never decrease
-    for i in range(1, n):
-        count = count * (4 * i - 2) // (i + 1)
-        if count > DEFAULT_TREE_BUDGET:
-            raise BoundExceededError(
-                f"degree {n} has more than {DEFAULT_TREE_BUDGET} trees"
-            )
+    # the Catalan numbers never decrease, so the count stops past the budget
+    if _catalans(n, DEFAULT_TREE_BUDGET)[-1] > DEFAULT_TREE_BUDGET:
+        raise BoundExceededError(
+            f"degree {n} has more than {DEFAULT_TREE_BUDGET} trees"
+        )
     # no lock: threads that build a degree at once build the same nodes
     for d in range(2, n + 1):
         if d not in _trees_by_degree:
@@ -143,9 +151,7 @@ def enumerate_trees(n: int) -> list[MagmaTree]:
 
 def canonical_rank(t: MagmaTree) -> int:
     """Position of t within enumerate_trees(t.degree), without enumerating."""
-    cat = [1]  # catalan(0), ..., catalan(t.degree - 1)
-    for i in range(1, t.degree):
-        cat.append(cat[-1] * (4 * i - 2) // (i + 1))
+    cat = _catalans(t.degree)
 
     def rank(s: MagmaTree) -> int:
         n, k = s.degree, s.left.degree

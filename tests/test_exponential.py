@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from math import factorial
@@ -146,6 +147,23 @@ def test_a_hat_of_a_deep_comb():
         comb = graft(comb, X)
     assert a_coefficient(comb).numerator == 1
     assert a_hat(comb) == a_hat_product(comb) == 1
+
+
+def test_a_hat_product_skips_the_binomials_that_are_one(monkeypatch):
+    # a leaf factor gives B(m - 2, 0) or B(m - 2, m - 2), both 1, so no call
+    exponential = importlib.import_module("magmaexp.exponential")
+    original = exponential.mersenne_binomial
+    calls = []
+
+    def recorded(n, r):
+        calls.append((n, r))
+        return original(n, r)
+
+    trees = [t for n in range(1, 10) for t in enumerate_trees(n)]
+    expected = [a_hat(t) for t in trees]
+    monkeypatch.setattr(exponential, "mersenne_binomial", recorded)
+    assert [a_hat_product(t) for t in trees] == expected
+    assert calls and all(1 <= r <= n - 1 for n, r in calls)
 
 
 def test_a_hat_product_examples():

@@ -9,6 +9,7 @@ also keep the series invariants: no degree above the truncation, and every
 value an integer pair (p, q) with p != 0, q > 0 and gcd(p, q) == 1.
 """
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SEED, random_series
-from magmaexp import UNIT, X, TreeSeries, graft, parse
+from magmaexp import UNIT, X, TreeSeries, exp_series, graft, parse
 
 
 # -- reference kernel --------------------------------------------------------
@@ -123,6 +124,7 @@ def check_all_operations(f, g, h):
     assert_matches(f * g, all_pairs_product(a, b, n))
     assert_matches(g * f, all_pairs_product(b, a, n))
     assert_matches(f * f, all_pairs_product(a, a, n))
+    assert_matches(f * copy.copy(f), all_pairs_product(a, a, n))
     assert_matches(f + g, reference_sum(a, b))
     assert_matches(f - g, reference_sum(a, b, -1))
     assert_matches(f - f, {})
@@ -143,6 +145,15 @@ def test_random_series_match_reference(truncation):
     rng = random.Random(SEED + truncation)
     for _ in range(3):
         f = random_series(rng, truncation)
+        g = random_series(rng, truncation)
+        check_all_operations(f, g, order_one(rng, truncation))
+    # each degree of exp has several denominators, with the comb's as their
+    # lcm; series-io's coefficients, up to 10**6 over up to 10**6, give each
+    # degree an lcm far above any one of its denominators
+    inputs = [exp_series(truncation)]
+    if truncation <= 6:
+        inputs.append(random_series(rng, truncation, magnitude=10**6))
+    for f in inputs:
         g = random_series(rng, truncation)
         check_all_operations(f, g, order_one(rng, truncation))
 
