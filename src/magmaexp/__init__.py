@@ -66,12 +66,9 @@ from .trees import (
 from .verify import (
     CheckResult,
     run_verification,
-    verify_comb_characterization,
     verify_derivative,
     verify_functional_equation,
-    verify_omega_recursion,
     verify_split_sums,
-    verify_sums,
 )
 
 __version__ = "0.1.0"

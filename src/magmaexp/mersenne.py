@@ -93,7 +93,7 @@ def mersenne_binomial(n: int, r: int) -> int:
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
     if r in (0, n):
-        return 1  # no d carries; every inner node of a comb asks for this
+        return 1  # no d carries; asked by convolution_term and a_hat_recursion_check
     carries = [False] * (n + 1)
     need = [False] * (n + 1)  # need[d]: d carries or divides a d that carries
     for d in range(n, 1, -1):

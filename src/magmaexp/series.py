@@ -4,12 +4,13 @@ A TreeSeries of truncation N stores finitely many (tree, coefficient) pairs
 with degrees <= N and no zero coefficients.  Each coefficient is stored as a
 normalized integer pair (p, q): q > 0, gcd(p, q) == 1 and p != 0, so equal
 series have equal stores.  Fractions appear only at the API edge: the
-constructor, scale and dilate take them, and coefficient, terms,
-classical_projection and repr give them back.  Binary operations require equal
-truncations; mixing truncations is a programming error and raises, equality
-included.  Multiplication enumerates every factorization of the target tree,
-unit factors and all, and is therefore not associative in general, exactly
-like the underlying magma product.
+constructor, scale, dilate and * take ints and Fractions and raise TypeError
+on anything else; coefficient, terms, classical_projection and repr give
+Fractions back.  Binary operations require equal truncations; mixing
+truncations is a programming error and raises, equality included.
+Multiplication enumerates every factorization of the target tree, unit
+factors and all, and is therefore not associative in general, exactly like
+the underlying magma product.
 
 The product and the derivative put each degree of an operand over one
 denominator, the lcm of its distinct denominators, and add plain integers,
@@ -59,6 +60,13 @@ Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
 
 
+def _scalar(c: Scalar) -> Fraction:
+    # the rule of __mul__: Fraction() alone takes a float's binary value or parses a str
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"scalar must be an int or a Fraction, got {type(c).__name__}")
+    return Fraction(c)
+
+
 def _truncation(n: int) -> int:
     n = index(n)  # a bool becomes its int; a float or str raises TypeError
     if n < 0:
@@ -106,7 +114,7 @@ class TreeSeries:
                 raise ValueError(
                     f"term of degree {t.degree} exceeds truncation {truncation}"
                 )
-            c = Fraction(c)
+            c = _scalar(c)
             if t in coeffs:
                 c += coeffs.pop(t)
             if c:
@@ -186,7 +194,7 @@ class TreeSeries:
         return self + (-other)
 
     def scale(self, c: Scalar) -> "TreeSeries":
-        cp, cq = Fraction(c).as_integer_ratio()
+        cp, cq = _scalar(c).as_integer_ratio()
         if not cp:
             return TreeSeries._raw(self.truncation, {})
         return TreeSeries._raw(
@@ -275,7 +283,7 @@ class TreeSeries:
 
     def dilate(self, c: Scalar) -> "TreeSeries":
         """Substitution of c*x for x: degree-n coefficients pick up c**n."""
-        cp, cq = Fraction(c).as_integer_ratio()
+        cp, cq = _scalar(c).as_integer_ratio()
         powers = {d: (cp**d, cq**d) for d in {t.degree for t in self._coeffs}}
         acc: dict[MagmaTree, _Pair] = {}
         for t, (p, q) in self._coeffs.items():
@@ -392,33 +400,20 @@ def _graft_of_halves(text: str, halves: dict[str, MagmaTree]) -> MagmaTree | Non
 
     None otherwise, and then parse reads text.  Text with n x's and nothing
     but the 3(n - 1) brackets and stars of their products has length 4n - 3;
-    any unit or whitespace makes it longer.  Only text of that length is
-    split: at its one "*" at bracket depth 1, which follows a left half of
-    degree k at 4k - 2.  The grammar is unambiguous, so when both halves are
-    tree texts their graft is the tree that parse builds.
+    any unit or whitespace makes it longer.  In such text a left half of
+    degree k is followed by its "*" at 4k - 2.  Tree texts are prefix-free, so
+    the first of those stars whose left slice is a tree text is the only
+    possible split, and when both halves are tree texts their graft is the
+    tree that parse builds.
     """
-    n = text.count("x")
-    if len(text) != 4 * n - 3 or text[0] != "(" or text[-1] != ")":
+    if len(text) != 4 * text.count("x") - 3 or text[0] != "(" or text[-1] != ")":
         return None
-    if text[1] == "x":
-        star = 2
-    elif text[-2] == "x":
-        star = len(text) - 3
-    else:  # the left half is a product, closed by the first ")" that balances
-        depth, star = 1, 2
-        while depth:
-            end = text.find(")*", star) + 1
-            if not end:
-                return None
-            depth += text.count("(", star, end) - text.count(")", star, end)
-            star = end
-    if text[star] != "*":
-        return None
-    left = halves.get(text[1:star])
-    if left is None:
-        return None
-    right = halves.get(text[star + 1 : -1])
-    return None if right is None else graft(left, right)
+    for star in range(2, len(text) - 2, 4):
+        left = halves.get(text[1:star]) if text[star] == "*" else None
+        if left is not None:
+            right = halves.get(text[star + 1 : -1])
+            return None if right is None else graft(left, right)
+    return None
 
 
 # a stored coefficient p/q: q > 0, gcd(p, q) == 1 and p != 0

@@ -169,31 +169,13 @@ def verify_derivative(truncation: int) -> bool:
     return _run(_derivative, exp_series(truncation + 1)) is None
 
 
-def verify_sums(n: int) -> bool:
-    """Degree-n coefficient sums: sum a_hat(t) = omega(n), hence sum a(t) = 1/n!."""
-    if n < 1:
-        raise ValueError(f"coefficient sums start at degree 1, got {n}")
-    return _run(_sums_at, n) is None
-
-
 def verify_split_sums(n: int) -> bool:
-    """Grouped coefficient sums over splits match the binomial convolution.
+    """Degree-n coefficient sums, whole and split by the root's left degree.
 
-    For each k, summing a_hat(t1 * t2) over deg t1 = k, deg t2 = n - k gives
-    convolution_term(n, k); summing over k rebuilds omega(n).
+    The whole sum of a_hat is omega(n), hence sum a(t) = 1/n!.  For each k,
+    summing a_hat(t1 * t2) over deg t1 = k, deg t2 = n - k gives
+    convolution_term(n, k).
     """
     if n < 2:
         raise ValueError(f"split sums need n >= 2, got {n}")
     return _run(_sums_at, n) is None
-
-
-def verify_comb_characterization(n: int) -> bool:
-    """a_hat(t) = 1 exactly on the comb trees at degree n (and a_hat = a_hat_product)."""
-    return _run(_products_at, n) is None
-
-
-def verify_omega_recursion(n: int) -> bool:
-    """True when the convolution over k = 1..n-1 reproduces omega(n) exactly."""
-    if n < 2:
-        raise ValueError(f"the recursion starts at n = 2, got {n}")
-    return _run(_convolution_at, n) is None

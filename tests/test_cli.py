@@ -1,7 +1,10 @@
 import json
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +225,26 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == '{"n":1,"omega":"1"}\n{"n":2,"omega":"1"}\n'
+
+
+def _readme_examples():
+    """(command, stdout) of each "$ magmaexp ..." line in README.md; its
+    stdout is the lines after it, up to a blank line or the end of the block."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    examples = {}
+    for i, line in enumerate(lines):
+        if line.startswith("$ magmaexp "):
+            out = takewhile(lambda row: row and row != "```", lines[i + 1 :])
+            examples[line.removeprefix("$ magmaexp ")] = "".join(f"{row}\n" for row in out)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command", README_EXAMPLES)
+def test_readme_example(capsys, command):
+    assert run(capsys, *shlex.split(command)) == (0, README_EXAMPLES[command], "")
 
 
 def test_usage_errors_exit_2(capsys):

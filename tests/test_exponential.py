@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import magmaexp.verify as verify
 from magmaexp import (
     BoundExceededError,
     InvariantError,
@@ -23,12 +24,11 @@ from magmaexp import (
     omega,
     parse,
     render,
+    run_verification,
     trees_with_a_hat_one,
-    verify_comb_characterization,
     verify_derivative,
     verify_functional_equation,
     verify_split_sums,
-    verify_sums,
 )
 from magmaexp.trees import _trees_by_degree
 
@@ -177,8 +177,9 @@ def test_a_hat_product_examples():
 
 
 def test_coefficient_sums():
-    for n in range(1, 11):
-        assert verify_sums(n)
+    # degree 1 here; degrees 2..10 run the same check in test_split_sums
+    (sums,) = [r for r in run_verification(1) if r.name == "coefficient-sums"]
+    assert sums.passed
     # explicit degree-4 data: four combs and the balanced tree
     values = sorted(a_hat(t) for t in enumerate_trees(4))
     assert values == [1, 1, 1, 1, 3]
@@ -212,7 +213,7 @@ def test_exp_multiplicativity_explicitly():
 
 def test_comb_characterization():
     for n in range(2, 11):
-        assert verify_comb_characterization(n)
+        assert verify._products_at(n) is None
         ones = trees_with_a_hat_one(n)
         assert len(ones) == 2 ** (n - 2)
     assert trees_with_a_hat_one(1) == [X]

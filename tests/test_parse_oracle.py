@@ -17,6 +17,7 @@ from functools import reduce
 import pytest
 
 from conftest import SEED, random_series
+import magmaexp.series as series
 from magmaexp import (
     UNIT,
     X,
@@ -202,6 +203,11 @@ def test_from_text_keeps_the_parse_error_text():
     message = "expected '1', 'x' or '(', found end of input at offset 3"
     with pytest.raises(ValueError, match=re.escape(message)):
         TreeSeries.from_text("truncation\t3\n(x*\t1/1\n")
+    # both slices around the star at 2 are the key "x": only the guard on the
+    # last character keeps the codec from grafting (x*x) out of this line
+    message = "expected ')', found '*' at offset 4"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TreeSeries.from_text("truncation\t3\nx\t1/1\n(x*x*\t1/2\n")
 
 
 def test_from_text_drops_zero_coefficients_but_not_their_repeats():
@@ -284,7 +290,18 @@ def _parse_outcome(prefix, line):
 
 @pytest.mark.parametrize(
     "line",
-    ["*x*x*", "x(*x)", ")x*x(", "(x)(x*x))", "(x*)x*x()", "((x*x)(*x*x))", "((x*x)*x(*x))"],
+    [
+        "*x*x*",
+        "x(*x)",
+        ")x*x(",
+        "(x)(x*x))",
+        "(x*)x*x()",
+        "((x*x)(*x*x))",
+        "((x*x)*x(*x))",
+        "(x*x*",  # both halves are keys, but the line does not end in ")"
+        ")x*x)",  # both halves are keys, but the line does not start with "("
+        "((x)*x*x)",  # the only star at 4k - 2 has the non-key "(x)*x" before it
+    ],
 )
 def test_canonical_length_non_terms_keep_the_parse_error(line):
     assert len(line) == 4 * line.count("x") - 3
@@ -294,6 +311,28 @@ def test_canonical_length_non_terms_keep_the_parse_error(line):
     message = f"bad tree in term line {term_line!r}: {err.value}"
     with pytest.raises(ValueError, match=re.escape(message)):
         TreeSeries.from_text(f"truncation\t5\nx\t1/1\n(x*x)\t1/1\n{term_line}\n")
+
+
+def _grafted_lines(s):
+    """What the codec's shortcut returns for each tree line of s.to_text(),
+    given the lines before it; each must be None or parse's own tree."""
+    halves, grafted = {}, []
+    for line in s.to_text().splitlines()[1:]:
+        text = line.partition("\t")[0]
+        t = parse(text)
+        got = series._graft_of_halves(text, halves)
+        assert got is None or got is t, text
+        grafted.append(got)
+        if t.degree < s.truncation:
+            halves[text] = t
+    return grafted
+
+
+def test_graft_of_halves_is_none_or_parse():
+    e = exp_series(8)
+    # exp holds every tree, so each product line finds both of its halves
+    assert [t is None for t in _grafted_lines(e)] == [t.degree < 2 for t in e.support()]
+    assert any(_grafted_lines(random_series(random.Random(SEED), 8, density=0.3)))
 
 
 def test_lines_of_canonical_length_match_parse():

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,20 @@ def test_truncation_is_always_a_nonnegative_int():
         exp_series(3).truncate(2.5)
     assert TreeSeries(True).to_text() == "truncation\t1\n"
     assert type(exp_series(3).truncate(True).truncation) is int
+
+
+ENTRY_POINTS = {
+    "constructor": lambda c: TreeSeries(3, {X: c}),
+    "scale": lambda c: generator(3).scale(c),
+    "dilate": lambda c: generator(3).dilate(c),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("c", [0.5, "1/3", float("inf"), Decimal("0.1")], ids=repr)
+def test_scalars_are_ints_or_fractions_only(entry, c):
+    with pytest.raises(TypeError, match=type(c).__name__):
+        ENTRY_POINTS[entry](c)
 
 
 def test_classical_projection():

@@ -14,12 +14,9 @@ from magmaexp import (
     omega,
     parse,
     run_verification,
-    verify_comb_characterization,
     verify_derivative,
     verify_functional_equation,
-    verify_omega_recursion,
     verify_split_sums,
-    verify_sums,
 )
 
 # the package re-exports the function omega under the submodule's name
@@ -76,7 +73,7 @@ def test_failing_checks_name_their_counterexamples(monkeypatch):
     passed = {r.name: r.passed for r in results}
     assert verify_functional_equation(4) == passed["functional-equation"]
     assert verify_derivative(3) == passed["derivative"]
-    assert all(verify_sums(n) for n in range(1, 5)) == passed["coefficient-sums"]
+    assert all(verify_split_sums(n) for n in range(2, 5)) == passed["coefficient-sums"]
 
 
 def test_a_broken_invariant_fails_its_own_checks_and_the_rest_still_run(
@@ -102,15 +99,12 @@ def test_boolean_helpers_return_false_on_a_broken_invariant(double_denominator):
     # is a failed identity, not an exception
     double_denominator(parse("((x*x)*x)"))
     passed = {r.name: r.passed for r in run_verification(4)}
-    assert verify_sums(3) is False
     assert verify_split_sums(3) is False
-    assert verify_comb_characterization(3) is False
-    assert verify_omega_recursion(3) is True  # the convolution reads no a_hat
     assert verify_functional_equation(4) is False
     assert verify_derivative(3) is False
     assert verify_functional_equation(4) == passed["functional-equation"]
     assert verify_derivative(3) == passed["derivative"]
-    assert all(verify_sums(n) for n in range(1, 5)) == passed["coefficient-sums"]
+    assert all(verify_split_sums(n) for n in range(2, 5)) == passed["coefficient-sums"]
 
 
 def test_a_wrong_convolution_term_fails_the_split_sums(monkeypatch):
@@ -136,8 +130,8 @@ def test_a_missing_comb_fails_the_binomial_products(monkeypatch):
     assert results["binomial-product"] == CheckResult(
         "binomial-product", False, "a_hat is 1 off the comb trees at degree 4"
     )
-    assert verify_comb_characterization(3) is True
-    assert verify_comb_characterization(4) is False
+    assert verify._products_at(3) is None
+    assert verify._products_at(4) == "a_hat is 1 off the comb trees at degree 4"
 
 
 def test_only_verify_defines_identity_checks():
