@@ -13,7 +13,6 @@ recurrence so the two routes can check each other.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 from .errors import InvariantError
@@ -38,14 +37,24 @@ def _product(values: list[int]) -> int:
     return product
 
 
-# (k * _CHECKPOINT_STEP)!_M for k = 0, 1, ..., len - 1, up to n = _CHECKPOINT_TOP:
-# at most 33 ints and about 2.9 MB.  Rebound whole, never mutated, so a
-# reader sees one consistent table; the lock only keeps two publishers from
-# replacing a longer table with a shorter one.
 _CHECKPOINT_STEP = 64
 _CHECKPOINT_TOP = 2048
-_checkpoints: tuple[int, ...] = (1,)
-_checkpoints_publish = threading.Lock()
+
+
+def _times_mersennes(x: int, start: int, stop: int) -> int:
+    """x times the Mersenne numbers 2**i - 1 for start < i <= stop."""
+    for i in range(start + 1, stop + 1):
+        x = (x << i) - x
+    return x
+
+
+@lru_cache(maxsize=None)  # asked only for k <= 32: at most 33 ints, about 2.9 MB
+def _checkpoint(k: int) -> int:
+    """(64 * k)!_M, built from (64 * (k - 1))!_M."""
+    if k == 0:
+        return 1
+    start = (k - 1) * _CHECKPOINT_STEP
+    return _times_mersennes(_checkpoint(k - 1), start, start + _CHECKPOINT_STEP)
 
 
 def mersenne_factorial(n: int) -> int:
@@ -53,29 +62,13 @@ def mersenne_factorial(n: int) -> int:
 
     Each factor is a shift and a subtraction, x * (2**i - 1) = (x << i) - x,
     two linear passes where a big multiplication would cost more.  The loop
-    resumes from the largest stored (k * 64)!_M <= n, and a call past the
-    stored ones stores those it passes, up to 2048!_M; past 2048 it resumes
-    from 2048!_M.  Below n = 64 it starts from 1, as with no table.
+    resumes from the cached checkpoint (64 * k)!_M with k = min(n // 64, 32):
+    below n = 64 it starts from 1, and past 2048 it resumes from 2048!_M.
     """
-    global _checkpoints
     if n < 0:
         raise ValueError(f"mersenne_factorial needs n >= 0, got {n}")
-    table = _checkpoints  # the one read: every step below works from it
-    k = n // _CHECKPOINT_STEP
-    if k >= len(table):
-        k = len(table) - 1
-    x = table[k]
-    passed = ()
-    for start in range(k * _CHECKPOINT_STEP, n, _CHECKPOINT_STEP):
-        for i in range(start + 1, min(start + _CHECKPOINT_STEP, n) + 1):
-            x = (x << i) - x
-        if i % _CHECKPOINT_STEP == 0 and i <= _CHECKPOINT_TOP:
-            passed += (x,)  # (i)!_M, the next entry after table[-1]
-    if passed:
-        with _checkpoints_publish:
-            if len(table) + len(passed) > len(_checkpoints):
-                _checkpoints = table + passed
-    return x
+    k = min(n // _CHECKPOINT_STEP, _CHECKPOINT_TOP // _CHECKPOINT_STEP)
+    return _times_mersennes(_checkpoint(k), k * _CHECKPOINT_STEP, n)
 
 
 @lru_cache(maxsize=256)

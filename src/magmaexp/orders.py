@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -167,11 +166,16 @@ def pi_m(x: int, bound: int | None = None) -> tuple[int, list[int]]:
     return len(primes), primes
 
 
-# (limit, hits) of the widest Wieferich search so far.  Rebound whole, never
-# mutated, so a reader sees one consistent pair; the lock only keeps two
-# publishers from replacing a wider record with a narrower one.
-_wieferich_record: tuple[int, tuple[int, ...]] = (0, ())
-_wieferich_publish = threading.Lock()
+_WIEFERICH_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=None)  # 153 blocks reach the cap: at most 153 small tuples
+def _wieferich_block(j: int) -> tuple[int, ...]:
+    """The primes p in (j * 2**16, (j + 1) * 2**16] with 2**(p-1) == 1 (mod p**2)."""
+    low = j * _WIEFERICH_BLOCK
+    primes = _primes_between(low, low + _WIEFERICH_BLOCK)
+    # 2 fails the criterion: 2**1 % 4 == 2
+    return tuple(p for p in primes if pow(2, p - 1, p * p) == 1)
 
 
 def wieferich_search(limit: int) -> list[int]:
@@ -179,11 +183,9 @@ def wieferich_search(limit: int) -> list[int]:
 
     Uses the classical criterion 2**(p-1) == 1 (mod p**2), which is
     equivalent: the order of 2 modulo p**2 is either order(p) or
-    p * order(p), and only the former divides p - 1.  A limit within the
-    widest search so far is answered from its hits; a wider one sieves and
-    tests only the range beyond it.
+    p * order(p), and only the former divides p - 1.  The range is searched
+    in cached blocks of 2**16, so a block is sieved once per process.
     """
-    global _wieferich_record
     limit = operator.index(limit)
     if limit < 0:
         raise ValueError(f"wieferich_search needs limit >= 0, got {limit}")
@@ -191,13 +193,5 @@ def wieferich_search(limit: int) -> list[int]:
         raise BoundExceededError(
             f"search limit {limit} exceeds the cap {WIEFERICH_SEARCH_CAP}"
         )
-    searched, hits = _wieferich_record
-    if limit <= searched:
-        return [p for p in hits if p <= limit]
-    # only (searched, limit] is sieved; 2 fails the criterion: 2**1 % 4 == 2
-    primes = _primes_between(searched, limit)
-    hits += tuple(p for p in primes if pow(2, p - 1, p * p) == 1)
-    with _wieferich_publish:
-        if limit > _wieferich_record[0]:
-            _wieferich_record = (limit, hits)
-    return list(hits)
+    blocks = -(-limit // _WIEFERICH_BLOCK)
+    return [p for j in range(blocks) for p in _wieferich_block(j) if p <= limit]

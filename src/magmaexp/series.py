@@ -60,11 +60,11 @@ Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
 
 
-def _scalar(c: Scalar) -> Fraction:
+def _scalar(c: Scalar) -> _Pair:
     # the rule of __mul__: Fraction() alone takes a float's binary value or parses a str
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"scalar must be an int or a Fraction, got {type(c).__name__}")
-    return Fraction(c)
+    return c.as_integer_ratio()
 
 
 def _truncation(n: int) -> int:
@@ -108,21 +108,15 @@ class TreeSeries:
         items = (
             coefficients.items() if isinstance(coefficients, Mapping) else coefficients
         )
-        coeffs: dict[MagmaTree, Fraction] = {}
+        acc: _Sums = {}
         for t, c in items:
             if t.degree > truncation:
                 raise ValueError(
                     f"term of degree {t.degree} exceeds truncation {truncation}"
                 )
-            c = _scalar(c)
-            if t in coeffs:
-                c += coeffs.pop(t)
-            if c:
-                coeffs[t] = c
+            _add(acc, t, *_scalar(c))
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(
-            self, "_coeffs", {t: c.as_integer_ratio() for t, c in coeffs.items()}
-        )
+        object.__setattr__(self, "_coeffs", _normalized(acc))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TreeSeries is immutable")
@@ -194,7 +188,7 @@ class TreeSeries:
         return self + (-other)
 
     def scale(self, c: Scalar) -> "TreeSeries":
-        cp, cq = _scalar(c).as_integer_ratio()
+        cp, cq = _scalar(c)
         if not cp:
             return TreeSeries._raw(self.truncation, {})
         return TreeSeries._raw(
@@ -283,7 +277,7 @@ class TreeSeries:
 
     def dilate(self, c: Scalar) -> "TreeSeries":
         """Substitution of c*x for x: degree-n coefficients pick up c**n."""
-        cp, cq = _scalar(c).as_integer_ratio()
+        cp, cq = _scalar(c)
         powers = {d: (cp**d, cq**d) for d in {t.degree for t in self._coeffs}}
         acc: dict[MagmaTree, _Pair] = {}
         for t, (p, q) in self._coeffs.items():
@@ -401,14 +395,18 @@ def _graft_of_halves(text: str, halves: dict[str, MagmaTree]) -> MagmaTree | Non
     None otherwise, and then parse reads text.  Text with n x's and nothing
     but the 3(n - 1) brackets and stars of their products has length 4n - 3;
     any unit or whitespace makes it longer.  In such text a left half of
-    degree k is followed by its "*" at 4k - 2.  Tree texts are prefix-free, so
+    degree k is followed by its "*" at 4k - 2, and text ending in "*x)" has its
+    right half x, so its split is the last star.  Tree texts are prefix-free, so
     the first of those stars whose left slice is a tree text is the only
     possible split, and when both halves are tree texts their graft is the
     tree that parse builds.
     """
     if len(text) != 4 * text.count("x") - 3 or text[0] != "(" or text[-1] != ")":
         return None
-    for star in range(2, len(text) - 2, 4):
+    stars = range(2, len(text) - 2, 4)
+    if text[-3] == "*":  # the right half is one x: only the last star can split
+        stars = (len(text) - 3,)
+    for star in stars:
         left = halves.get(text[1:star]) if text[star] == "*" else None
         if left is not None:
             right = halves.get(text[star + 1 : -1])

@@ -12,6 +12,15 @@ from magmaexp import UNIT, TreeSeries, enumerate_trees
 SEED = 20250821
 
 
+def trial_valuation(m, p):
+    """Exponent of p in m != 0, by repeated division."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
 @pytest.fixture
 def rng():
     return random.Random(SEED)

@@ -34,6 +34,7 @@ from magmaexp import (
 )
 
 import test_properties
+from conftest import trial_valuation
 
 
 def _run(number, description, limit_seconds, body):
@@ -46,14 +47,6 @@ def _run(number, description, limit_seconds, body):
     elapsed = time.perf_counter() - start
     print(f"criterion {number:2d}: PASS in {elapsed:6.2f}s (limit {limit_seconds}s) - {description}")
     assert elapsed < limit_seconds, f"criterion {number} exceeded {limit_seconds}s"
-
-
-def trial_valuation(m, p):
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 def test_criterion_01_omega_goldens():

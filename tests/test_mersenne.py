@@ -87,17 +87,28 @@ PAST_THE_BOUND = (2049, 2176)
 
 
 @pytest.fixture
-def empty_checkpoints(monkeypatch):
-    """Start from a table holding only 0!_M whatever ran before."""
-    monkeypatch.setattr(mersenne_module, "_checkpoints", (1,))
+def empty_checkpoints():
+    """Start from an empty checkpoint cache whatever ran before; leave it empty."""
+    mersenne_module._checkpoint.cache_clear()
+    yield
+    mersenne_module._checkpoint.cache_clear()
+
+
+def checkpoints_cached():
+    return mersenne_module._checkpoint.cache_info().currsize
 
 
 def assert_checkpoints_exact():
+    # _checkpoint(k) caches every k' <= k, so the cached keys are 0 .. size - 1;
+    # reading them back must hit the cache and add nothing
+    size = checkpoints_cached()
+    assert 1 <= size <= CHECKPOINTS_STORED
+    misses = mersenne_module._checkpoint.cache_info().misses
     step = mersenne_module._CHECKPOINT_STEP
-    table = mersenne_module._checkpoints
-    assert 1 <= len(table) <= CHECKPOINTS_STORED
-    for k, value in enumerate(table):
-        assert value == factorial_product_oracle(k * step), k * step
+    for k in range(size):
+        assert mersenne_module._checkpoint(k) == factorial_product_oracle(k * step), k * step
+    assert mersenne_module._checkpoint.cache_info().misses == misses
+    assert checkpoints_cached() == size
 
 
 def checkpoint_arguments():
@@ -114,6 +125,7 @@ def test_mersenne_factorial_checkpoints_in_any_order(empty_checkpoints, order):
         random.Random(SEED).shuffle(ns)
     for n in ns:
         assert mersenne_factorial(n) == factorial_product_oracle(n), n
+    assert checkpoints_cached() == CHECKPOINTS_STORED
     assert_checkpoints_exact()
 
 
@@ -121,7 +133,7 @@ def test_mersenne_factorial_table_stops_at_its_bound(empty_checkpoints):
     assert CHECKPOINTS_STORED == 33
     for n in PAST_THE_BOUND:
         assert mersenne_factorial(n) == factorial_product_oracle(n)
-        assert len(mersenne_module._checkpoints) == CHECKPOINTS_STORED
+        assert checkpoints_cached() == CHECKPOINTS_STORED
     assert_checkpoints_exact()
 
 
@@ -130,47 +142,9 @@ def test_mersenne_factorial_below_the_first_checkpoint_stores_nothing(
 ):
     for n in range(64):
         assert mersenne_factorial(n) == factorial_product_oracle(n)
-    assert mersenne_module._checkpoints == (1,)
-
-
-def test_mersenne_factorial_keeps_the_longer_table(empty_checkpoints, monkeypatch):
-    lock = mersenne_module._checkpoints_publish
-
-    class LongerTablePublishesFirst:
-        def __enter__(self):
-            monkeypatch.setattr(mersenne_module, "_checkpoints_publish", lock)
-            assert mersenne_factorial(1300) == factorial_product_oracle(1300)
-            return lock.__enter__()
-
-        def __exit__(self, *exc):
-            return lock.__exit__(*exc)
-
-    monkeypatch.setattr(mersenne_module, "_checkpoints_publish", LongerTablePublishesFirst())
+    assert checkpoints_cached() == 1  # 0!_M alone
     assert mersenne_factorial(700) == factorial_product_oracle(700)
-    assert len(mersenne_module._checkpoints) == 1300 // 64 + 1
-    assert_checkpoints_exact()
-
-
-def test_mersenne_factorial_works_from_one_read_of_the_table(
-    empty_checkpoints, monkeypatch
-):
-    # the first len() of the table a call has read lets another call publish
-    # the whole table first; the call must still resume from what it read
-    class LongerTablePublishedAfterTheRead(tuple):
-        published = False
-
-        def __len__(self):
-            if not LongerTablePublishedAfterTheRead.published:
-                LongerTablePublishedAfterTheRead.published = True
-                assert mersenne_factorial(2176) == factorial_product_oracle(2176)
-            return super().__len__()
-
-    monkeypatch.setattr(
-        mersenne_module, "_checkpoints", LongerTablePublishedAfterTheRead((1,))
-    )
-    assert mersenne_factorial(700) == factorial_product_oracle(700)
-    assert LongerTablePublishedAfterTheRead.published
-    assert len(mersenne_module._checkpoints) == CHECKPOINTS_STORED
+    assert checkpoints_cached() == 700 // 64 + 1
     assert_checkpoints_exact()
 
 
@@ -185,7 +159,7 @@ def test_mersenne_factorial_from_threads(empty_checkpoints):
         sys.setswitchinterval(interval)
     for n, answer in zip(ns, answers):
         assert answer == factorial_product_oracle(n), n
-    assert len(mersenne_module._checkpoints) == CHECKPOINTS_STORED
+    assert checkpoints_cached() == CHECKPOINTS_STORED
     assert_checkpoints_exact()
 
 
@@ -342,6 +316,8 @@ def test_factorial_valuation_against_floor_sum_oracle():
             assert factorial_valuation(n, p) == floor_sum_oracle(n, p)
     with pytest.raises(ValueError):
         factorial_valuation(10, 6)
+    with pytest.raises(ValueError, match="got -1"):
+        factorial_valuation(-1, 3)
 
 
 def test_digit_sum_congruence():

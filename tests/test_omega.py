@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 import magmaexp.verify as verify
+from conftest import trial_valuation
 from magmaexp import (
     convolution_term,
     omega,
@@ -21,14 +22,6 @@ def quotient_oracle(n):
     value = Fraction(2 ** (n - 1) * product, factorial(n))
     assert value.denominator == 1
     return value.numerator
-
-
-def trial_valuation(m, p):
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 def test_omega_golden_values():
@@ -82,6 +75,8 @@ def test_omega_factorization_values():
     assert omega_factorization(1) == {}
     assert omega_factorization(5) == {2: 1, 3: 1, 7: 1}
     assert omega_factorization(6) == {2: 1, 7: 1, 31: 1}
+    with pytest.raises(ValueError, match="got 0"):
+        omega_factorization(0)
 
 
 def test_omega_factorization_reassembles():

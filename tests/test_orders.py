@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conftest import trial_valuation
 from magmaexp import (
     BoundExceededError,
     divisors,
@@ -34,14 +35,6 @@ def trial_factorization(m):
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
-
-
-def trial_valuation(m, p):
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 def test_order_known_values():
@@ -155,6 +148,9 @@ def test_factor_bound_env_override(monkeypatch):
     monkeypatch.setenv(FACTOR_BOUND_ENV, "not-a-number")
     with pytest.raises(ValueError):
         factor_bound()
+    monkeypatch.setenv(FACTOR_BOUND_ENV, "0")
+    with pytest.raises(ValueError, match="^MAGMAEXP_FACTOR_BOUND must be >= 1, got 0$"):
+        factor_bound()
     monkeypatch.delenv(FACTOR_BOUND_ENV)
     assert factor_bound() == 64
 
@@ -190,9 +186,15 @@ def test_factor_bound_errors_name_the_exponent_and_the_variable(monkeypatch):
 
 
 @pytest.fixture
-def fresh_wieferich_record(monkeypatch):
-    """Start from an empty search record whatever ran before."""
-    monkeypatch.setattr(orders, "_wieferich_record", (0, ()))
+def empty_wieferich_cache():
+    """Start from an empty block cache whatever ran before; leave it empty."""
+    orders._wieferich_block.cache_clear()
+    yield
+    orders._wieferich_block.cache_clear()
+
+
+def blocks_cached():
+    return orders._wieferich_block.cache_info().currsize
 
 
 def wieferich_by_definition(limit):
@@ -213,22 +215,23 @@ def test_wieferich_search_agrees_with_exponent_definition():
     assert wieferich_search(5000) == wieferich_by_definition(5000)
 
 
-def test_wieferich_search_widening_and_narrowing(fresh_wieferich_record):
+def test_wieferich_search_widening_and_narrowing(empty_wieferich_cache):
     for limit in (5000, 0, 1, 2, 1092, 1093, 3510, 3511, 1000, 8000):
         assert wieferich_search(limit) == wieferich_by_definition(limit), limit
-    assert orders._wieferich_record == (8000, (1093, 3511))
+    assert blocks_cached() == 1  # every limit lies in (0, 2**16]
 
 
 def test_wieferich_search_within_the_record_does_not_sieve(
-    fresh_wieferich_record, monkeypatch
+    empty_wieferich_cache, monkeypatch
 ):
     assert wieferich_search(8000) == [1093, 3511]
     monkeypatch.setattr(orders, "_primes_between", lambda low, limit: pytest.fail("sieved"))
     assert wieferich_search(8000) == [1093, 3511]
     assert wieferich_search(3510) == [1093]
+    assert wieferich_search(2**16) == [1093, 3511]
 
 
-def test_wieferich_search_answers_are_private(fresh_wieferich_record):
+def test_wieferich_search_answers_are_private(empty_wieferich_cache):
     first = wieferich_search(4000)
     first.append(5)
     first.remove(1093)
@@ -240,45 +243,31 @@ def test_wieferich_search_answers_are_private(fresh_wieferich_record):
 
 
 @pytest.mark.parametrize("limit", [4000.0, 5.5, "4000", None])
-def test_wieferich_search_refuses_non_integers(fresh_wieferich_record, limit):
+def test_wieferich_search_refuses_non_integers(empty_wieferich_cache, limit):
     with pytest.raises(TypeError):
         wieferich_search(limit)
     assert wieferich_search(10**4) == [1093, 3511]
     with pytest.raises(TypeError):
         wieferich_search(limit)
+    assert blocks_cached() == 1
 
 
-def test_wieferich_search_accepts_bool_as_int(fresh_wieferich_record):
+def test_wieferich_search_accepts_bool_as_int(empty_wieferich_cache):
     assert wieferich_search(True) == []
     assert wieferich_search(False) == []
 
 
-def test_wieferich_search_refusals_after_a_wide_search(fresh_wieferich_record):
+def test_wieferich_search_refusals_after_a_wide_search(empty_wieferich_cache):
     assert wieferich_search(10**5) == [1093, 3511]
     with pytest.raises(ValueError):
         wieferich_search(-1)
     with pytest.raises(BoundExceededError):
         wieferich_search(WIEFERICH_SEARCH_CAP + 1)
-    assert orders._wieferich_record[0] == 10**5
-
-
-def test_wieferich_search_keeps_the_wider_record(
-    fresh_wieferich_record, monkeypatch
-):
-    sieve = orders._primes_between
-
-    def sieve_while_a_wider_search_publishes(low, limit):
-        if limit == 5000:
-            assert wieferich_search(8000) == [1093, 3511]
-        return sieve(low, limit)
-
-    monkeypatch.setattr(orders, "_primes_between", sieve_while_a_wider_search_publishes)
-    assert wieferich_search(5000) == [1093, 3511]
-    assert orders._wieferich_record == (8000, (1093, 3511))
+    assert blocks_cached() == 2
 
 
 def test_wieferich_search_extension_sieves_only_the_new_range(
-    fresh_wieferich_record, monkeypatch
+    empty_wieferich_cache, monkeypatch
 ):
     assert wieferich_search(999_000) == [1093, 3511]
     sieve = orders._primes_between
@@ -290,12 +279,26 @@ def test_wieferich_search_extension_sieves_only_the_new_range(
 
     monkeypatch.setattr(orders, "_primes_between", recording_sieve)
     assert wieferich_search(10**6) == [1093, 3511]
-    assert sieved == [(999_000, 10**6)]
-    assert orders._wieferich_record == (10**6, (1093, 3511))
+    assert sieved == []  # 10**6 lies in block 15, searched for 999_000
+    assert wieferich_search(1_100_000) == [1093, 3511]
+    assert sieved == [(16 * 2**16, 17 * 2**16)]
+    assert blocks_cached() == 17
 
 
-def test_wieferich_search_from_threads(fresh_wieferich_record):
-    limits = [30_000, 1092, 20_000, 3511, 50_000, 1093, 40_000, 3510, 10_000, 0]
+def test_wieferich_search_cache_is_bounded_by_the_cap(
+    empty_wieferich_cache, monkeypatch
+):
+    sieved = []  # (low, limit) of each sieve, which finds no primes: no pow tests
+    monkeypatch.setattr(
+        orders, "_primes_between", lambda low, limit: sieved.append((low, limit)) or []
+    )
+    assert wieferich_search(WIEFERICH_SEARCH_CAP) == []
+    assert len(sieved) == blocks_cached() == 153
+    assert sieved[-1] == (152 * 2**16, 153 * 2**16)
+
+
+def test_wieferich_search_from_threads(empty_wieferich_cache):
+    limits = [30_000, 1092, 200_000, 3511, 50_000, 1093, 140_000, 3510, 70_000, 0]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, inside the searches
     try:
@@ -303,9 +306,9 @@ def test_wieferich_search_from_threads(fresh_wieferich_record):
             answers = list(pool.map(wieferich_search, limits, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    widest = wieferich_by_definition(max(limits))
+    # no Wieferich prime lies in (3511, 200_000]: the definition is asked to 50_000
+    known = wieferich_by_definition(50_000)
     for limit, answer in zip(limits, answers):
-        assert answer == [p for p in widest if p <= limit], limit
-    # a narrower search finishing last must not replace the widest record
-    assert orders._wieferich_record == (50_000, (1093, 3511))
+        assert answer == [p for p in known if p <= limit], limit
+    assert blocks_cached() == 4  # 200_000 lies in block 3
     assert wieferich_search(3000) == [1093]

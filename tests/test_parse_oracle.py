@@ -335,6 +335,20 @@ def test_graft_of_halves_is_none_or_parse():
     assert any(_grafted_lines(random_series(random.Random(SEED), 8, density=0.3)))
 
 
+def test_a_left_comb_line_looks_up_only_its_last_split():
+    class CountingHalves(dict):
+        gets = 0
+
+        def get(self, key, default=None):
+            CountingHalves.gets += 1
+            return super().get(key, default)
+
+    left = _comb(1499)
+    halves = CountingHalves({render(left): left, "x": X})
+    assert series._graft_of_halves(render(_comb(1500)), halves) is graft(left, X)
+    assert CountingHalves.gets <= 2
+
+
 def test_lines_of_canonical_length_match_parse():
     # every tree of degree <= 4 precedes the line, so any split can be looked up
     prefix = [t for n in range(1, 5) for t in enumerate_trees(n)]

@@ -138,6 +138,16 @@ def test_substitute_rejects_order_zero():
         generator(3).substitute(one(3))
     # the zero series has infinite order and is allowed
     assert generator(3).substitute(zero(3)).is_zero()
+    with pytest.raises(TypeError, match="needs a TreeSeries"):
+        generator(3).substitute(1)
+
+
+def test_repr_shows_the_first_six_terms():
+    assert repr(exp_series(3)) == (
+        "TreeSeries(N=3, 1*1 + 1*x + 1/2*(x*x) + 1/12*(x*(x*x)) + 1/12*((x*x)*x))"
+    )
+    assert repr(zero(2)) == "TreeSeries(N=2, 0)"
+    assert repr(exp_series(4)).endswith(" + ...)")
 
 
 def test_deep_comb_derivative_and_substitution():
@@ -205,6 +215,10 @@ def test_classical_projection():
     assert c.coefficient(2) == 1
     with pytest.raises(ValueError):
         c.coefficient(4)
+    with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+        ClassicalSeries(-1, ())
+    with pytest.raises(ValueError, match="need exactly truncation \\+ 1 coefficients"):
+        ClassicalSeries(2, (Fraction(1),))
 
 
 def test_serialization_golden_and_round_trip():

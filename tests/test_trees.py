@@ -43,6 +43,8 @@ def test_atoms():
     assert UNIT != X
     assert render(UNIT) == "1"
     assert render(X) == "x"
+    assert repr(X) == "MagmaTree('x')"
+    assert repr(graft(graft(X, X), X)) == "MagmaTree('((x*x)*x)')"
 
 
 def test_graft_unit_laws_and_degree():
@@ -192,6 +194,8 @@ def test_enumeration_counts_match_catalan_recurrence():
     for n in range(1, 14):
         assert len(enumerate_trees(n)) == oracle[n - 1]
         assert catalan(n - 1) == oracle[n - 1]
+    with pytest.raises(ValueError, match="got -1"):
+        catalan(-1)
     # degree 14 is 742,900 trees: counted in a child, so that this process
     # does not hold them in the enumeration cache for the rest of the run
     done = subprocess.run(

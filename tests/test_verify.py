@@ -3,11 +3,15 @@ import inspect
 import pkgutil
 from fractions import Fraction
 
+import pytest
+
 import magmaexp
 import magmaexp.verify as verify
 from magmaexp import (
     CheckResult,
     TreeSeries,
+    a_hat_product,
+    a_hat_recursion_check,
     comb_trees,
     convolution_term,
     exp_series,
@@ -33,6 +37,13 @@ def test_degree_zero_is_vacuous():
         CheckResult("omega-recursion", True, ""),
         CheckResult("factorizations", True, ""),
     ]
+
+
+def test_negative_degrees_are_refused():
+    with pytest.raises(ValueError, match="got -1"):
+        run_verification(-1)
+    with pytest.raises(ValueError, match="got 1"):
+        verify_split_sums(1)
 
 
 def test_failing_checks_name_their_counterexamples(monkeypatch):
@@ -132,6 +143,26 @@ def test_a_missing_comb_fails_the_binomial_products(monkeypatch):
     )
     assert verify._products_at(3) is None
     assert verify._products_at(4) == "a_hat is 1 off the comb trees at degree 4"
+
+
+def test_wrong_binomial_routes_name_their_trees(monkeypatch):
+    bad = parse("(x*(x*x))")
+
+    def product_off_at_bad(t):
+        return a_hat_product(t) + (t is bad)
+
+    def recursion_fails_at_bad(t):
+        return t is not bad and a_hat_recursion_check(t)
+
+    monkeypatch.setattr(verify, "a_hat_product", product_off_at_bad)
+    monkeypatch.setattr(verify, "a_hat_recursion_check", recursion_fails_at_bad)
+    results = {r.name: r for r in run_verification(4)}
+    assert results["binomial-product"] == CheckResult(
+        "binomial-product", False, "(x*(x*x)): recursion gives 1, product 2"
+    )
+    assert results["binomial-recursion"] == CheckResult(
+        "binomial-recursion", False, "recursion step fails at (x*(x*x))"
+    )
 
 
 def test_only_verify_defines_identity_checks():
