@@ -3,11 +3,11 @@
 Mersenne numbers are indexed by every positive exponent, not only prime
 ones: the n-th is 2**n - 1.  The Mersenne factorial n!_M is the product of
 the first n of them (empty product 1), and the Mersenne binomial is the
-factorial quotient n!_M / (r!_M * (n-r)!_M).  That quotient is always an
-integer, the product of the cyclotomic values Phi_d(2) over the d where a
-base-d carry occurs in r + (n-r), and it is computed that way, with no long
-division of factorials.  It equals the Gaussian binomial coefficient
-evaluated at q = 2, which this module also computes by an independent
+factorial quotient n!_M / (r!_M * (n-r)!_M).  That quotient is the product
+of the cyclotomic values Phi_d(2) over the d where a base-d carry occurs in
+r + (n-r); it is computed that way, from the table of Phi_d(2) in orders,
+with no long division of factorials.  It equals the Gaussian binomial
+coefficient at q = 2, which this module also computes by an independent
 recurrence so the two routes can check each other.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvariantError
+from .orders import _cyclotomic_at_2
 from .primes import is_prime
 
 
@@ -78,36 +79,15 @@ def mersenne_binomial(n: int, r: int) -> int:
     n!_M is the product of Phi_d(2)**(n // d) over d >= 1, so the quotient
     n!_M / (r!_M * (n-r)!_M) is the product of the Phi_d(2) with
     n // d - r // d - (n - r) // d = 1 (that difference is 0 or 1).  Each
-    Phi_d(2) is one exact division of 2**d - 1 by the Phi_e(2) of its proper
-    divisors e; a remainder would mean the cyclotomic factorization failed,
-    which is a bug, so it raises InvariantError.  Only the d that carry and
-    their divisors are sieved.
+    Phi_d(2) comes from the cached table orders._cyclotomic_at_2, so only the
+    d that carry and their divisors are ever computed.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
     if r in (0, n):
         return 1  # no d carries; asked by convolution_term and a_hat_recursion_check
-    carries = [False] * (n + 1)
-    need = [False] * (n + 1)  # need[d]: d carries or divides a d that carries
-    for d in range(n, 1, -1):
-        carries[d] = n // d - r // d - (n - r) // d == 1
-        need[d] = carries[d] or any(need[2 * d :: d])
-    below = [1] * (n + 1)  # below[d]: product of Phi_e(2) over the e < d dividing d
-    factors = []
-    for d in range(2, n + 1):  # Phi_1(2) = 1 is already in every below[d]
-        if not need[d]:
-            continue
-        value, remainder = divmod(mersenne(d), below[d])
-        if remainder:
-            raise InvariantError(
-                f"mersenne_binomial({n}, {r}): Phi_{d}(2) is not an integer"
-            )
-        for multiple in range(2 * d, n + 1, d):
-            if need[multiple]:
-                below[multiple] *= value
-        if carries[d]:
-            factors.append(value)
-    return _product(factors)
+    carries = (d for d in range(2, n + 1) if n // d - r // d - (n - r) // d == 1)
+    return _product([_cyclotomic_at_2(d) for d in carries])
 
 
 def gaussian_binomial_at_2(n: int, r: int) -> int:

@@ -17,10 +17,10 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .errors import BoundExceededError, InvariantError
-from .primes import _primes_between, factorize, is_prime, valuation
+from .primes import _primes_between, divisors, factorize, is_prime, valuation
 
 DEFAULT_FACTOR_BOUND = 64
 FACTOR_BOUND_ENV = "MAGMAEXP_FACTOR_BOUND"
@@ -123,20 +123,28 @@ def _check_factor_bound(n: int, bound: int | None) -> None:
         )
 
 
+@lru_cache(maxsize=None)  # one int per d reached; all d <= 1,500 take 127 KiB
+def _cyclotomic_at_2(d: int) -> int:
+    """Phi_d(2), the d-th cyclotomic polynomial at 2, for d >= 1.
+
+    2**d - 1 is the product of the Phi_e(2) over e | d, so this is 2**d - 1
+    divided exactly by those of the proper divisors; a remainder is a bug.
+    """
+    below = prod(_cyclotomic_at_2(e) for e in divisors(d)[:-1])
+    value, remainder = divmod((1 << d) - 1, below)
+    if remainder:
+        raise InvariantError(f"Phi_{d}(2) is not an integer")
+    return value
+
+
 @lru_cache(maxsize=None)
 def _factor_mersenne(n: int) -> tuple[tuple[int, int], ...]:
-    m = (1 << n) - 1
     factors: dict[int, int] = {}
-    # factors of 2**d - 1 divide 2**n - 1 for every divisor d of n
-    for d in range(1, n):
-        if n % d == 0:
-            for p, _ in _factor_mersenne(d):
-                while m % p == 0:
-                    m //= p
-                    factors[p] = factors.get(p, 0) + 1
-    # the rest is the primitive part: none of its primes divides 2**j - 1 for
-    # j < n, so each has order n and is 1 mod lcm(2, n)
-    factors.update(factorize(m, one_mod=lcm(2, n)))
+    # 2**n - 1 is the product of Phi_d(2) over d | n.  The primes of Phi_d(2)
+    # have order d, so are 1 mod lcm(2, d), but for at most one prime of d
+    for d in divisors(n):
+        for p, e in factorize(_cyclotomic_at_2(d), one_mod=lcm(2, d)).items():
+            factors[p] = factors.get(p, 0) + e
     product = 1
     for p, e in factors.items():
         if e != mersenne_valuation(p, n):

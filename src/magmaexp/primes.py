@@ -112,11 +112,11 @@ def _brent_rho(n: int, exponent: int) -> int:
 def factorize(n: int, *, one_mod: int = 1) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}; factorize(1) == {}.
 
-    one_mod is a hint that every prime factor of n is 1 modulo it (the
-    primitive part of 2**k - 1 has one_mod = lcm(2, k)).  It only speeds up
-    the splitter, which then iterates y**lcm(2, one_mod) + c; a wrong hint
-    costs time, never correctness, since every factor is still proven by
-    is_prime.
+    one_mod is a hint that every prime factor of n is 1 modulo it (Phi_k(2)
+    has one_mod = lcm(2, k), but for at most one prime, which divides k).
+    It only speeds up the splitter, which then iterates
+    y**lcm(2, one_mod) + c; a wrong hint costs time, never correctness,
+    since every factor is still proven by is_prime.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")

@@ -11,6 +11,7 @@ from conftest import SEED
 from magmaexp import (
     InvariantError,
     digit_sum,
+    factor_mersenne,
     factorial_valuation,
     gaussian_binomial_at_2,
     mersenne,
@@ -237,7 +238,7 @@ def factorial_quotient(n, r):
 
 
 def test_binomial_near_the_edges_is_the_factorial_quotient():
-    # few d carry here, so only their divisors are sieved
+    # few d carry here, so only they and their divisors reach the table
     for n in range(401):
         for r in {1, 2, 3, n - 2, n - 1}:
             if 0 <= r <= n:
@@ -245,21 +246,28 @@ def test_binomial_near_the_edges_is_the_factorial_quotient():
     assert mersenne_binomial(4000, 3) == factorial_quotient(4000, 3)
 
 
-def test_a_remainder_in_a_cyclotomic_value_names_the_binomial(monkeypatch):
-    # 2**4 - 1 plus one leaves a remainder modulo Phi_1(2) * Phi_2(2) = 3
-    module = importlib.import_module("magmaexp.mersenne")
-    original = module.mersenne
+def test_a_remainder_in_a_cyclotomic_value_names_phi_d(monkeypatch):
+    # a spurious divisor 3 of 4 leaves 15 a remainder modulo 1 * 3 * 7
+    orders = importlib.import_module("magmaexp.orders")
+    original = orders.divisors
 
-    def off_at_four(d):
-        return original(d) + (d == 4)
+    def three_divides_four(n):
+        return sorted({*original(n), 3}) if n == 4 else original(n)
 
-    monkeypatch.setattr(module, "mersenne", off_at_four)
-    mersenne_binomial.cache_clear()
-    try:
-        with pytest.raises(InvariantError, match=r"mersenne_binomial\(12, 5\)"):
-            mersenne_binomial(12, 5)
-    finally:
+    def clear():
+        orders._cyclotomic_at_2.cache_clear()
+        orders._factor_mersenne.cache_clear()
         mersenne_binomial.cache_clear()
+
+    monkeypatch.setattr(orders, "divisors", three_divides_four)
+    clear()
+    try:
+        with pytest.raises(InvariantError, match=r"Phi_4\(2\)"):
+            mersenne_binomial(12, 5)
+        with pytest.raises(InvariantError, match=r"Phi_4\(2\)"):
+            factor_mersenne(12)
+    finally:
+        clear()
 
 
 def gaussian_rows_oracle(n_max):

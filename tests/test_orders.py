@@ -9,8 +9,10 @@ from magmaexp import (
     BoundExceededError,
     divisors,
     factor_mersenne,
+    factorize,
     is_prime,
     mersenne,
+    mersenne_binomial,
     mersenne_order,
     mersenne_valuation,
     order_record,
@@ -130,6 +132,47 @@ def test_primitive_parts_beyond_the_digests():
     assert factor_mersenne(125, bound=128) == {
         31: 1, 601: 1, 1801: 1, 269089806001: 1, 4710883168879506001: 1,
     }
+
+
+def test_cyclotomic_values_multiply_to_each_mersenne_number():
+    for n in range(1, 601):
+        product = 1
+        for d in divisors(n):
+            product *= orders._cyclotomic_at_2(d)
+        assert product == mersenne(n), n
+
+
+def test_cyclotomic_primes_have_order_d_but_one_prime_of_d():
+    exceptions = []
+    for d in range(1, 65):
+        others = [
+            (p, e)
+            for p, e in factorize(orders._cyclotomic_at_2(d)).items()
+            if mersenne_order(p) != d
+        ]
+        assert len(others) <= 1, d
+        for p, e in others:
+            assert d % p == 0 and e == 1, (d, p, e)
+            exceptions.append((d, p))
+    assert exceptions == [(6, 3), (18, 3), (20, 5), (21, 7), (54, 3)]
+
+
+def test_an_edge_binomial_reaches_only_its_carrying_d_and_their_divisors():
+    n, r = 4000, 3
+    carrying = [d for d in range(2, n + 1) if n // d - r // d - (n - r) // d == 1]
+    reached = {e for d in carrying for e in divisors(d)}
+    orders._cyclotomic_at_2.cache_clear()
+    mersenne_binomial.cache_clear()
+    try:
+        mersenne_binomial(n, r)
+        info = orders._cyclotomic_at_2.cache_info()
+        assert info.currsize == len(reached) == 33
+        for d in reached:
+            orders._cyclotomic_at_2(d)
+        assert orders._cyclotomic_at_2.cache_info().misses == info.misses
+    finally:
+        orders._cyclotomic_at_2.cache_clear()
+        mersenne_binomial.cache_clear()
 
 
 def test_factor_mersenne_bound():

@@ -150,6 +150,20 @@ def test_repr_shows_the_first_six_terms():
     assert repr(exp_series(4)).endswith(" + ...)")
 
 
+def test_other_operand_types_reach_the_python_fallbacks():
+    s = exp_series(2)
+    assert (s == 3) is False and (3 == s) is False
+    for operation in (
+        lambda: s + 1,
+        lambda: 1 + s,
+        lambda: s - 1,
+        lambda: s * "a",
+        lambda: "a" * s,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+
+
 def test_deep_comb_derivative_and_substitution():
     t = X
     for _ in range(1500):
